@@ -86,35 +86,25 @@ diff "$DET_DIR/fig5_j1.norm" "$DET_DIR/fig5_j4.norm"
 diff -r "$DET_DIR/fig5_json1" "$DET_DIR/fig5_json2"
 
 echo "== trace record/replay determinism (live == recorded == replayed)"
-# Three test-scale fig3 runs: fully live (--no-replay), recording
-# (in-memory cache + traces persisted to disk), and replaying from the
-# persisted traces. All three stdouts must be byte-identical — the
-# trace record/replay layer is required to be invisible in simulated
-# results.
-./target/release/repro fig3 --test-scale --no-replay \
-  > "$DET_DIR/rr_live" 2>/dev/null
+# Three test-scale fig3 runs: plain (every job live), recording (traces
+# persisted to disk), and replaying every job from the persisted
+# traces. All three stdouts, and the live and replayed JSON reports,
+# must be byte-identical — the trace record/replay layer is required
+# to be invisible in simulated results.
+./target/release/repro fig3 --test-scale --json-dir "$DET_DIR/rr_live_json" \
+  > "$DET_DIR/rr_live_raw" 2>/dev/null
 ./target/release/repro fig3 --test-scale --record-traces "$DET_DIR/traces" \
   > "$DET_DIR/rr_record_raw" 2>/dev/null
 ./target/release/repro fig3 --test-scale --replay-traces "$DET_DIR/traces" \
-  > "$DET_DIR/rr_replay" 2>/dev/null
-# The recording run appends [trace written ...] notices; strip them
-# before comparing.
+  --json-dir "$DET_DIR/rr_replay_json" > "$DET_DIR/rr_replay_raw" 2>/dev/null
+# The JSON runs name their json paths and the recording run appends
+# [trace written ...] notices; normalise both before comparing.
+sed "s|$DET_DIR/rr_live_json|JSON_DIR|" "$DET_DIR/rr_live_raw" > "$DET_DIR/rr_live"
+sed "s|$DET_DIR/rr_replay_json|JSON_DIR|" "$DET_DIR/rr_replay_raw" > "$DET_DIR/rr_replay"
 grep -v '^\[trace written' "$DET_DIR/rr_record_raw" > "$DET_DIR/rr_record"
-diff "$DET_DIR/rr_live" "$DET_DIR/rr_record"
+grep -v '^\[written ' "$DET_DIR/rr_live" | diff - "$DET_DIR/rr_record"
 diff "$DET_DIR/rr_live" "$DET_DIR/rr_replay"
-
-echo "== replay-default vs --no-replay (stdout + JSON identical)"
-# Sweeps replay by default (record once per (workload, scale), replay
-# every other config through the batched engine). The default must be
-# indistinguishable from forcing every run live.
-./target/release/repro fig3 --test-scale --json-dir "$DET_DIR/replay_json" \
-  > "$DET_DIR/replay_default_raw" 2>/dev/null
-./target/release/repro fig3 --test-scale --no-replay --json-dir "$DET_DIR/live_json" \
-  > "$DET_DIR/live_forced_raw" 2>/dev/null
-sed "s|$DET_DIR/replay_json|JSON_DIR|" "$DET_DIR/replay_default_raw" > "$DET_DIR/replay_default"
-sed "s|$DET_DIR/live_json|JSON_DIR|" "$DET_DIR/live_forced_raw" > "$DET_DIR/live_forced"
-diff "$DET_DIR/replay_default" "$DET_DIR/live_forced"
-diff -r "$DET_DIR/replay_json" "$DET_DIR/live_json"
+diff -r "$DET_DIR/rr_live_json" "$DET_DIR/rr_replay_json"
 
 echo "== paper-scale cycle-fidelity gate (BENCH_pr6 vs BENCH_pr10)"
 # BENCH_pr6.json predates the fig5/fig6 experiments, so wall totals are

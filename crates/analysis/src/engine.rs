@@ -256,17 +256,10 @@ pub fn analyze(root: &Path, allowlist_path: &Path) -> Result<Outcome, String> {
         }
         if file.rel.starts_with("crates/sim/src/") || file.rel.starts_with("crates/trace/src/") {
             let charge = lexer::fn_span(&file.tokens, "charge");
-            let replay: Vec<(u32, u32)> = [
-                "memo_access",
-                "stream",
-                "execute_inner",
-                "commit_span_agg",
-                "loop_fast_forward",
-                "replay_scalar_span",
-            ]
-            .iter()
-            .filter_map(|f| lexer::fn_span(&file.tokens, f))
-            .collect();
+            let replay: Vec<(u32, u32)> = ["memo_access", "stream", "execute_inner"]
+                .iter()
+                .filter_map(|f| lexer::fn_span(&file.tokens, f))
+                .collect();
             lints::cycle_funnel(
                 &file.rel,
                 &file.tokens,

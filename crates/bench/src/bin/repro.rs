@@ -26,19 +26,16 @@
 //! cycle counts and host metadata (thread count, parallelism, cargo
 //! profile).
 //!
-//! Trace record/replay decouples stream generation from simulation,
-//! and replay is the **default** execution mode: each `(workload,
-//! scale)` pair's op stream is recorded once, then every later
-//! configuration of the same pair replays it through the batched
-//! SoA + loop-fast-forward engine (`mtlb_trace::replay_batched`)
-//! instead of re-executing the workload's host logic. Simulated
-//! cycles are byte-identical live or replayed — the op stream fully
-//! determines them; only host wall time changes. `--record-traces
-//! DIR` additionally saves the recorded streams (`mtlb-trace` format,
-//! `DIR/<workload>_<scale>.mtr`); `--replay-traces DIR` seeds the
-//! cache from such files so no workload host logic runs at all.
-//! `--no-replay` forces pure live runs (recording is disabled too) —
-//! CI diffs the two modes byte-for-byte.
+//! Every simulation runs its workload live. The first run of each
+//! `(workload, scale)` pair also records its op stream; `--record-traces
+//! DIR` saves those streams (`mtlb-trace` format,
+//! `DIR/<workload>_<scale>.mtr`), and `--replay-traces DIR` loads such
+//! files so every run of a loaded pair replays the recorded stream op
+//! by op (`mtlb_trace::replay`) instead of running the workload's host
+//! logic. Simulated cycles are byte-identical live or replayed — the
+//! op stream fully determines them; CI diffs the two modes
+//! byte-for-byte. A loaded trace that fails to replay on some machine
+//! is reported on stderr and that run falls back to live.
 //!
 //! Unknown experiment names and unknown flags print the usage line to
 //! stderr and exit with status 2 before any experiment output.
@@ -75,7 +72,7 @@ fn usage() -> String {
     format!(
         "usage: repro [{}] [--test-scale] [--csv-dir DIR] [--json-dir DIR] \
          [--jobs N] [--cores N] [--trace] [--bench-report] [--bench-out PATH] \
-         [--record-traces DIR] [--replay-traces DIR] [--no-replay]",
+         [--record-traces DIR] [--replay-traces DIR]",
         EXPERIMENTS.join("|")
     )
 }
@@ -108,7 +105,6 @@ fn parse_args() -> Options {
     let mut bench_out = PathBuf::from("BENCH_baseline.json");
     let mut record_traces = None;
     let mut replay_traces: Option<PathBuf> = None;
-    let mut no_replay = false;
     let mut args = env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -159,7 +155,6 @@ fn parse_args() -> Options {
                 cores = n;
             }
             "--trace" => trace = true,
-            "--no-replay" => no_replay = true,
             "--record-traces" => {
                 let Some(dir) = args.next() else {
                     eprintln!("error: --record-traces requires a directory");
@@ -201,15 +196,9 @@ fn parse_args() -> Options {
             }
         }
     }
-    // Replay-first: every sweep records each (workload, scale) once
-    // and replays all later configurations through the batched
-    // loop-fast-forward engine. `--no-replay` forces pure live runs
-    // (and disables recording with them).
-    let replay = !no_replay;
     let runner = Runner::with_jobs(jobs)
         .live_progress(true)
-        .with_trace(trace)
-        .with_replay(replay);
+        .with_trace(trace);
     if let Some(dir) = &replay_traces {
         preload_traces(&runner, dir);
     }
@@ -229,13 +218,7 @@ fn parse_args() -> Options {
 /// The static registry name a trace header's workload name refers to,
 /// if it names a registered workload.
 fn static_workload_name(name: &str) -> Option<&'static str> {
-    const EXTRA: [&str; 5] = [
-        "oltp",
-        "synth_seq",
-        "synth_stride",
-        "synth_rand",
-        "synth_loop",
-    ];
+    const EXTRA: [&str; 4] = ["oltp", "synth_seq", "synth_stride", "synth_rand"];
     WORKLOADS
         .iter()
         .chain(EXTRA.iter())
@@ -243,7 +226,7 @@ fn static_workload_name(name: &str) -> Option<&'static str> {
         .find(|&w| w == name)
 }
 
-/// Seeds the runner's replay cache from every `.mtr` file in `dir`
+/// Seeds the runner with every `.mtr` trace file in `dir`
 /// (`--replay-traces`). Unreadable or unrecognised files are skipped
 /// with a warning: a missing trace only costs a live run.
 fn preload_traces(runner: &Runner, dir: &std::path::Path) {

@@ -17,6 +17,12 @@
 //! * **Attribution.** The runner records per-job host wall time and
 //!   simulated cycles ([`JobRecord`]); `repro --bench-report` drains
 //!   these into `BENCH_baseline.json`.
+//!
+//! Every job runs its workload live. The first job of each `(workload,
+//! scale)` pair also records the op stream as an [`mtlb_trace`] buffer
+//! ([`Runner::recorded_traces`], `repro --record-traces`); only traces
+//! handed in with [`Runner::preload_trace`] (`repro --replay-traces`)
+//! are replayed.
 
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
@@ -122,27 +128,29 @@ impl<'scope, T> Task<'scope, T> {
     }
 }
 
-/// Recorded op traces, keyed by the `(workload, scale)` pair whose
-/// address stream they capture. One entry drives every machine
-/// configuration of that pair in a sweep.
-type TraceCache = BTreeMap<(&'static str, Scale), Arc<Vec<u8>>>;
+/// What a runner holds for one `(workload, scale)` pair's op stream.
+#[derive(Debug)]
+enum TraceSlot {
+    /// A job of this pair is running live with a [`TraceWriter`]
+    /// attached; no other job records it.
+    Recording,
+    /// Recorded by this runner's first job of the pair. Later jobs
+    /// still run live: the trace is kept for `repro --record-traces`.
+    Recorded(Arc<Vec<u8>>),
+    /// Loaded with [`Runner::preload_trace`]; every job of the pair
+    /// replays it.
+    Preloaded(Arc<Vec<u8>>),
+}
+
+/// Op traces keyed by the `(workload, scale)` pair whose address
+/// stream they capture.
+type TraceCache = BTreeMap<(&'static str, Scale), TraceSlot>;
 
 /// Finished simulations keyed by `(workload, scale, config)` — the
 /// config via its exhaustive `Debug` rendering. Simulations are
 /// deterministic, so identical rows appearing across experiments in
 /// one sweep (`fig3` and `fig3.4` share several) run once.
 type ResultCache = BTreeMap<(&'static str, Scale, String), (Outcome, RunReport)>;
-
-/// Decoded-batch cache: each recorded trace is varint-decoded into
-/// SoA batches once, and every further configuration replays straight
-/// from the decoded ops ([`mtlb_trace::replay_decoded`]).
-type DecodedCache = BTreeMap<(&'static str, Scale), Arc<mtlb_trace::DecodedTrace>>;
-
-/// Ceiling on total ops held in the decoded-batch cache. Decoded
-/// batches cost ~17 bytes per op (several times the encoded trace);
-/// past the ceiling, further traces decode per replay instead of
-/// caching. The full paper-scale workload set is ~75M ops.
-const DECODED_OPS_CAP: u64 = 128_000_000;
 
 /// Executes independent jobs across OS threads, returning results in
 /// deterministic job order.
@@ -151,9 +159,7 @@ pub struct Runner {
     jobs: usize,
     live: bool,
     trace: bool,
-    replay: bool,
     traces: Mutex<TraceCache>,
-    decoded: Mutex<DecodedCache>,
     results: Mutex<ResultCache>,
     records: Mutex<Vec<JobRecord>>,
 }
@@ -187,9 +193,7 @@ impl Runner {
             jobs,
             live: false,
             trace: false,
-            replay: true,
             traces: Mutex::new(BTreeMap::new()),
-            decoded: Mutex::new(BTreeMap::new()),
             results: Mutex::new(BTreeMap::new()),
             records: Mutex::new(Vec::new()),
         }
@@ -214,57 +218,38 @@ impl Runner {
         self
     }
 
-    /// Enables or disables the trace record/replay cache (**on** by
-    /// default): the first run of each `(workload, scale)` pair is
-    /// recorded through a [`TraceWriter`], and every later run of the
-    /// same pair — whatever its machine configuration — replays the
-    /// recorded op stream instead of re-executing the workload's host
-    /// logic. Simulated cycles are byte-identical either way (the op
-    /// stream fully determines them); only host wall time changes.
-    ///
-    /// Recording captures the op stream both as encoded bytes and as
-    /// decoded SoA batches ([`mtlb_trace::DecodedTrace`]); every
-    /// further configuration replays straight from the decoded batches
-    /// through [`mtlb_trace::replay_decoded`] — batched dispatch, span
-    /// coalescing and the steady-state loop fast-forward, with no
-    /// decode pass at all. That makes record-once/replay-many the
-    /// cheapest execution mode for multi-config sweeps: each
-    /// workload's host logic and RNG run once, and every further
-    /// configuration consumes the already-decoded address stream.
-    /// `with_replay(false)` (the `repro --no-replay` flag) restores
-    /// pure live execution; the CI triple-diff pins the two modes to
-    /// byte-identical output.
-    #[must_use]
-    pub fn with_replay(mut self, on: bool) -> Self {
-        self.replay = on;
-        self
-    }
-
     /// The worker-thread count this runner uses.
     #[must_use]
     pub fn jobs(&self) -> usize {
         self.jobs
     }
 
-    /// Seeds the replay cache with an externally recorded trace (see
-    /// `repro --replay-traces`). Ignored when the cache already holds
-    /// this key.
+    /// Seeds the runner with an externally recorded trace (see
+    /// `repro --replay-traces`): every later job of this `(workload,
+    /// scale)` pair replays it instead of running the workload.
+    /// Ignored when the runner already holds a trace for the pair.
     pub fn preload_trace(&self, workload: &'static str, scale: Scale, bytes: Vec<u8>) {
         self.traces
             .lock()
             .expect("traces")
             .entry((workload, scale))
-            .or_insert_with(|| Arc::new(bytes));
+            .or_insert_with(|| TraceSlot::Preloaded(Arc::new(bytes)));
     }
 
-    /// Snapshots the recorded traces accumulated so far (see
-    /// `repro --record-traces`).
+    /// Snapshots the traces held so far — one per `(workload, scale)`
+    /// pair this runner has run (or was preloaded with); see
+    /// `repro --record-traces`.
     #[must_use]
     pub fn recorded_traces(&self) -> Vec<(&'static str, Scale, Arc<Vec<u8>>)> {
         let traces = self.traces.lock().expect("traces");
         let mut out: Vec<_> = traces
             .iter()
-            .map(|(&(name, scale), bytes)| (name, scale, Arc::clone(bytes)))
+            .filter_map(|(&(name, scale), slot)| match slot {
+                TraceSlot::Recording => None,
+                TraceSlot::Recorded(bytes) | TraceSlot::Preloaded(bytes) => {
+                    Some((name, scale, Arc::clone(bytes)))
+                }
+            })
             .collect();
         out.sort_by_key(|&(name, scale, _)| (name, scale_byte(scale)));
         out
@@ -288,8 +273,7 @@ impl Runner {
     }
 
     /// One simulation: deduplicated against an already-finished
-    /// identical row when possible, then replayed from the trace cache,
-    /// live (and recorded) otherwise.
+    /// identical row when possible, simulated otherwise.
     fn simulate(&self, spec: &JobSpec) -> (Outcome, RunReport) {
         // Trace mode bypasses the dedup so every job still prints its
         // own cycle-attribution summary.
@@ -310,37 +294,27 @@ impl Runner {
         (outcome, report)
     }
 
-    /// The decoded batches for this job's `(workload, scale)` trace,
-    /// if one has been recorded: served from the decoded-batch cache,
-    /// or decoded now — and cached, while the total stays under
-    /// [`DECODED_OPS_CAP`] — from the encoded trace cache.
-    fn decoded_trace(&self, spec: &JobSpec) -> Option<Arc<mtlb_trace::DecodedTrace>> {
-        let key = (spec.workload, spec.scale);
-        if let Some(hit) = self.decoded.lock().expect("decoded").get(&key) {
-            return Some(Arc::clone(hit));
-        }
-        let bytes = self.traces.lock().expect("traces").get(&key).cloned()?;
-        // A decode error means a corrupt preloaded trace; fall back to
-        // a live run rather than failing the sweep.
-        let decoded = Arc::new(mtlb_trace::decode_trace(&bytes).ok()?);
-        let mut cache = self.decoded.lock().expect("decoded");
-        let held: u64 = cache.values().map(|d| d.ops()).sum();
-        if held + decoded.ops() <= DECODED_OPS_CAP {
-            cache.entry(key).or_insert_with(|| Arc::clone(&decoded));
-        }
-        Some(decoded)
-    }
-
-    /// Runs the simulation for real: replayed from the trace cache when
-    /// possible, live (and recorded) otherwise.
+    /// Runs the simulation for real: replayed from a preloaded trace
+    /// when one is held for the pair, live otherwise. The first live
+    /// job of each pair claims the recording under the lock and runs
+    /// with a [`TraceWriter`] attached.
     fn simulate_uncached(&self, spec: &JobSpec) -> (Outcome, RunReport) {
-        if self.replay {
-            if let Some(decoded) = self.decoded_trace(spec) {
-                let mut machine = Machine::new(spec.cfg.clone());
-                if self.trace {
-                    machine.set_trace_sink(Box::new(RingTrace::new(1024)));
+        let key = (spec.workload, spec.scale);
+        let (preloaded, record) = {
+            let mut traces = self.traces.lock().expect("traces");
+            match traces.get(&key) {
+                Some(TraceSlot::Preloaded(bytes)) => (Some(Arc::clone(bytes)), false),
+                Some(_) => (None, false),
+                None => {
+                    traces.insert(key, TraceSlot::Recording);
+                    (None, true)
                 }
-                if let Ok(header) = mtlb_trace::replay_decoded(&mut machine, &decoded) {
+            }
+        };
+        if let Some(bytes) = preloaded {
+            let mut machine = self.machine(spec);
+            match mtlb_trace::replay(&mut machine, &bytes) {
+                Ok(header) => {
                     let report = machine.report();
                     self.trace_summary(&spec.label, &mut machine);
                     let outcome = Outcome {
@@ -349,56 +323,44 @@ impl Runner {
                     };
                     return (outcome, report);
                 }
-                // A replay fault means the trace does not apply to this
-                // machine (it shouldn't happen for the registered
-                // workloads, whose op streams are config-independent) —
-                // fall back to a live run rather than failing the sweep.
+                // The trace does not apply to this machine (corrupt, or
+                // recorded from another build): run live instead of
+                // failing the sweep.
+                Err(e) => eprintln!("[replay] {}: {e}; running live", spec.label),
             }
         }
-        let mut machine = Machine::new(spec.cfg.clone());
-        if self.trace {
-            machine.set_trace_sink(Box::new(RingTrace::new(1024)));
-        }
-        if self.replay {
-            // Capture SoA batches alongside the encoded bytes so the
-            // replay jobs that follow never pay a decode pass.
-            machine.set_op_sink(Box::new(TraceWriter::capturing()));
+        let mut machine = self.machine(spec);
+        if record {
+            machine.set_op_sink(Box::new(TraceWriter::new()));
         }
         let outcome = workload_by_name(spec.workload, spec.scale).run(&mut machine);
         let report = machine.report();
         if let Some(sink) = machine.take_op_sink() {
             if let Ok(writer) = sink.into_any().downcast::<TraceWriter>() {
-                let (bytes, decoded) = writer.finish_decoded(
+                let bytes = writer.finish(
                     spec.workload,
                     scale_byte(spec.scale),
                     outcome.checksum,
                     outcome.verified,
                 );
-                self.preload_trace(spec.workload, spec.scale, bytes);
-                if let Some(decoded) = decoded {
-                    self.preload_decoded(spec.workload, spec.scale, decoded);
-                }
+                self.traces
+                    .lock()
+                    .expect("traces")
+                    .insert(key, TraceSlot::Recorded(Arc::new(bytes)));
             }
         }
         self.trace_summary(&spec.label, &mut machine);
         (outcome, report)
     }
 
-    /// Inserts freshly captured decoded batches into the decoded-batch
-    /// cache, while the total held stays under [`DECODED_OPS_CAP`].
-    fn preload_decoded(
-        &self,
-        workload: &'static str,
-        scale: Scale,
-        decoded: mtlb_trace::DecodedTrace,
-    ) {
-        let mut cache = self.decoded.lock().expect("decoded");
-        let held: u64 = cache.values().map(|d| d.ops()).sum();
-        if held + decoded.ops() <= DECODED_OPS_CAP {
-            cache
-                .entry((workload, scale))
-                .or_insert_with(|| Arc::new(decoded));
+    /// A fresh machine for `spec`, with the `--trace` ring attached when
+    /// tracing is on.
+    fn machine(&self, spec: &JobSpec) -> Machine {
+        let mut machine = Machine::new(spec.cfg.clone());
+        if self.trace {
+            machine.set_trace_sink(Box::new(RingTrace::new(1024)));
         }
+        machine
     }
 
     /// Prints the per-job cycle-attribution summary when `--trace` is
@@ -528,41 +490,17 @@ mod tests {
     }
 
     #[test]
-    fn replayed_jobs_match_live_runs_across_configs() {
-        use mtlb_sim::MachineConfig;
-        let specs: Vec<JobSpec> = [16usize, 64, 128]
-            .iter()
-            .map(|&e| {
-                JobSpec::new(
-                    format!("tlb{e}"),
-                    "radix",
-                    Scale::Test,
-                    MachineConfig::paper_mtlb(e),
-                )
-            })
-            .collect();
-        // Replay on (the default): first job records, the rest replay.
-        let replayed = Runner::serial().with_replay(true).run(&specs);
-        // Replay off: every job runs the workload live.
-        let live = Runner::serial().with_replay(false).run(&specs);
-        for (a, b) in replayed.iter().zip(&live) {
-            assert_eq!(format!("{:?}", a.report), format!("{:?}", b.report));
-            assert_eq!(a.outcome, b.outcome);
-        }
-    }
-
-    #[test]
     fn recorded_traces_can_seed_another_runner() {
         use mtlb_sim::MachineConfig;
         let spec = JobSpec::new("a", "radix", Scale::Test, MachineConfig::paper_mtlb(64));
-        let recorder = Runner::serial().with_replay(true);
+        let recorder = Runner::serial();
         let first = recorder.run(std::slice::from_ref(&spec));
         let traces = recorder.recorded_traces();
         assert_eq!(traces.len(), 1);
         let (name, scale, bytes) = &traces[0];
         assert_eq!((*name, *scale), ("radix", Scale::Test));
 
-        let seeded = Runner::serial().with_replay(true);
+        let seeded = Runner::serial();
         seeded.preload_trace(name, *scale, bytes.to_vec());
         let second = seeded.run(std::slice::from_ref(&spec));
         assert_eq!(

@@ -101,7 +101,6 @@ fn recorded_traces_are_byte_identical_across_jobs_levels() {
         })
         .collect();
     let record = |runner: Runner| {
-        let runner = runner.with_replay(true);
         let _ = runner.run(&specs);
         let mut traces = runner.recorded_traces();
         traces.sort_by_key(|(name, scale, _)| (*name, format!("{scale:?}")));

@@ -1,15 +1,15 @@
-//! Replay-parity regression gate: the runner's trace record/replay
-//! cache must be invisible in simulated results.
+//! Replay-parity regression gate: trace record/replay must be
+//! invisible in simulated results.
 //!
 //! Builds the exact Figure 3 job grid (every workload × TLB size ×
-//! MTLB on/off, test scale) and runs it twice — once with the replay
-//! cache enabled (first run of each workload records, every other
-//! configuration replays) and once fully live (the default) — comparing the
-//! serialized `RunReport` JSON byte-for-byte on every row, plus the
-//! workload outcomes. Any divergence means replay is not
+//! MTLB on/off, test scale) and runs it twice — once live on a runner
+//! that records each workload's op stream, and once on a second runner
+//! seeded with those recordings, which replays every row — comparing
+//! the serialized `RunReport` JSON byte-for-byte on every row, plus
+//! the workload outcomes. Any divergence means replay is not
 //! cycle-faithful and fails the build.
 
-use mtlb_bench::runner::{JobSpec, Runner};
+use mtlb_bench::runner::{JobResult, JobSpec, Runner};
 use mtlb_sim::MachineConfig;
 use mtlb_workloads::Scale;
 
@@ -48,13 +48,28 @@ fn fig3_specs() -> Vec<JobSpec> {
     specs
 }
 
-#[test]
-fn replayed_fig3_rows_are_byte_identical_to_live() {
-    let specs = fig3_specs();
-    let replayed = Runner::serial().with_replay(true).run(&specs);
-    let live = Runner::serial().run(&specs);
+/// Runs `specs` live, then again on a runner seeded (through
+/// `preload_trace`) with the live runner's recordings, after passing
+/// each recording through `tamper`; returns both result lists.
+fn live_and_replayed(
+    specs: &[JobSpec],
+    tamper: impl Fn(&[u8]) -> Vec<u8>,
+) -> (Vec<JobResult>, Vec<JobResult>) {
+    let live_runner = Runner::serial();
+    let live = live_runner.run(specs);
+    let seeded = Runner::serial();
+    let traces = live_runner.recorded_traces();
+    assert!(!traces.is_empty(), "the live runner recorded nothing");
+    for (name, scale, bytes) in traces {
+        seeded.preload_trace(name, scale, tamper(&bytes));
+    }
+    let replayed = seeded.run(specs);
+    (live, replayed)
+}
+
+fn assert_rows_identical(live: &[JobResult], replayed: &[JobResult]) {
     assert_eq!(replayed.len(), live.len());
-    for (r, l) in replayed.iter().zip(&live) {
+    for (r, l) in replayed.iter().zip(live) {
         assert_eq!(r.label, l.label);
         assert_eq!(
             r.report.to_json(),
@@ -64,6 +79,13 @@ fn replayed_fig3_rows_are_byte_identical_to_live() {
         );
         assert_eq!(r.outcome, l.outcome, "outcome diverged for {}", r.label);
     }
+}
+
+#[test]
+fn replayed_fig3_rows_are_byte_identical_to_live() {
+    let specs = fig3_specs();
+    let (live, replayed) = live_and_replayed(&specs, <[u8]>::to_vec);
+    assert_rows_identical(&live, &replayed);
 }
 
 #[test]
@@ -81,15 +103,26 @@ fn synthetic_workloads_replay_identically_too() {
             })
         })
         .collect();
-    let replayed = Runner::serial().with_replay(true).run(&specs);
-    let live = Runner::serial().run(&specs);
-    for (r, l) in replayed.iter().zip(&live) {
-        assert_eq!(
-            r.report.to_json(),
-            l.report.to_json(),
-            "{} diverged",
-            r.label
-        );
-        assert_eq!(r.outcome, l.outcome);
-    }
+    let (live, replayed) = live_and_replayed(&specs, <[u8]>::to_vec);
+    assert_rows_identical(&live, &replayed);
+}
+
+/// A preloaded trace that fails part-way through replay (here: its
+/// last bytes cut off) must not leak into results: the runner falls
+/// back to a live run of the job.
+#[test]
+fn corrupt_preloaded_trace_falls_back_to_live() {
+    let specs: Vec<JobSpec> = [64usize, 128]
+        .into_iter()
+        .map(|entries| {
+            JobSpec::new(
+                format!("radix/tlb{entries}"),
+                "radix",
+                Scale::Test,
+                MachineConfig::paper_mtlb(entries),
+            )
+        })
+        .collect();
+    let (live, replayed) = live_and_replayed(&specs, |bytes| bytes[..bytes.len() - 3].to_vec());
+    assert_rows_identical(&live, &replayed);
 }

@@ -6,14 +6,11 @@
 //! naming the workload, its scale and its recorded outcome, followed by
 //! every [`MachineOp`] the workload issued, delta/varint-encoded.
 //! [`replay`] drives those ops back through a fresh machine's *public*
-//! API, reproducing the exact address stream — and therefore, because
-//! simulated timing depends only on addresses and shapes, a
-//! byte-identical [`RunReport`](mtlb_sim::RunReport). [`replay_batched`]
-//! produces the same state faster: it decodes ops in bulk into
-//! structure-of-arrays batches ([`OpBatch`]) and fast-forwards
-//! steady-state loops it proves stable, which is what makes
-//! record-once/replay-many the sweep `Runner`'s default execution
-//! mode.
+//! API, one at a time, reproducing the exact address stream — and
+//! therefore, because simulated timing depends only on addresses and
+//! shapes, a byte-identical [`RunReport`](mtlb_sim::RunReport). The
+//! encoded bytes are the crate's only stream form: a [`DecodedTrace`]
+//! is those bytes validated once, with their header and op count.
 //!
 //! What replay does **not** reproduce is data: stores write zeros, so
 //! guest-memory contents and workload checksums differ from the live
@@ -43,10 +40,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-mod batch;
-
-pub use batch::{decode_trace, replay_batched, replay_decoded, DecodedTrace, OpBatch};
 
 use std::any::Any;
 use std::fmt;
@@ -149,26 +142,16 @@ pub struct TraceHeader {
 
 /// A streaming [`OpSink`] that encodes each recorded op into the MTR1
 /// body format; [`finish`](TraceWriter::finish) prepends the header.
-///
-/// A writer built with [`capturing`](TraceWriter::capturing) also
-/// mirrors every op into SoA batches as it encodes — batch-for-batch
-/// what [`decode_trace`] would later produce from the bytes — so a
-/// record-once/replay-many sweep can seed its decoded-batch cache
-/// straight from the recording pass and never run the decoder at all
-/// (see [`finish_decoded`](TraceWriter::finish_decoded)).
 #[derive(Debug, Default)]
 pub struct TraceWriter {
     body: Vec<u8>,
     ops: u64,
     last_va: u64,
-    capture: Option<Vec<OpBatch>>,
 }
 
-/// The wire-field tuple `(tag, va, vb, arg, instr)` of an op — the
-/// single source of truth for how each [`MachineOp`] maps onto the
-/// MTR1 field slots, shared by the byte encoder and the SoA capture so
-/// the two can never disagree. The values are exactly what
-/// [`TraceReader`] hands back: raw address bits, sizes widened to
+/// The wire-field tuple `(tag, va, vb, arg, instr)` of an op: how each
+/// [`MachineOp`] maps onto the MTR1 field slots. The values are exactly
+/// what [`TraceReader`] hands back: raw address bits, sizes widened to
 /// `u64`, protection bits and boolean flags as integers.
 fn wire_fields(op: &MachineOp) -> (u8, u64, u64, u64, u64) {
     match *op {
@@ -205,16 +188,11 @@ impl TraceWriter {
         TraceWriter::default()
     }
 
-    /// An empty writer that additionally captures the SoA batches of
-    /// the stream it encodes, for
-    /// [`finish_decoded`](TraceWriter::finish_decoded). Costs ~17
-    /// bytes of memory per recorded op on top of the encoded bytes.
+    /// The same as [`new`](TraceWriter::new); kept for callers that
+    /// pair it with [`finish_decoded`](TraceWriter::finish_decoded).
     #[must_use]
     pub fn capturing() -> Self {
-        TraceWriter {
-            capture: Some(Vec::new()),
-            ..TraceWriter::default()
-        }
+        TraceWriter::new()
     }
 
     /// Ops encoded so far.
@@ -240,29 +218,21 @@ impl TraceWriter {
     }
 
     /// Seals the trace like [`finish`](TraceWriter::finish) and also
-    /// returns the captured SoA batches as a ready-to-replay
-    /// [`DecodedTrace`] — `None` for a writer built with
-    /// [`new`](TraceWriter::new). The bytes and the decoded trace
-    /// describe the same op stream: `decode_trace(&bytes)` would
-    /// reproduce the returned batches exactly.
+    /// returns it validated as a [`DecodedTrace`] — what
+    /// [`decode_trace`] makes of the sealed bytes. `None` would mean
+    /// the writer's own bytes fail to decode, which the codec
+    /// round-trip tests rule out.
     #[must_use]
     pub fn finish_decoded(
-        mut self,
+        self,
         name: &str,
         scale: u8,
         checksum: u64,
         verified: bool,
     ) -> (Vec<u8>, Option<DecodedTrace>) {
-        let decoded = self.capture.take().map(|batches| {
-            let header = TraceHeader {
-                name: name.to_string(),
-                scale,
-                checksum,
-                verified,
-            };
-            DecodedTrace::from_parts(header, batches)
-        });
-        (self.finish(name, scale, checksum, verified), decoded)
+        let bytes = self.finish(name, scale, checksum, verified);
+        let decoded = decode_trace(&bytes).ok();
+        (bytes, decoded)
     }
 
     fn put_va(&mut self, raw: u64) {
@@ -274,7 +244,7 @@ impl TraceWriter {
         self.ops += 1;
         let (tag, va, vb, arg, instr) = wire_fields(op);
         self.body.push(tag);
-        // Field layout per tag group mirrors `TraceReader::next_batch`.
+        // Field layout per tag group mirrors `TraceReader::next_op`.
         match tag {
             0 | 11..=14 | 16 => put_uvarint(&mut self.body, arg),
             1 | 2 | 10 => {
@@ -301,14 +271,6 @@ impl TraceWriter {
                 debug_assert_eq!(tag, 18);
                 put_uvarint(&mut self.body, arg);
                 self.body.push(instr as u8);
-            }
-        }
-        if let Some(batches) = &mut self.capture {
-            if batches.last().is_none_or(|b| b.len() >= batch::BATCH_OPS) {
-                batches.push(OpBatch::default());
-            }
-            if let Some(batch) = batches.last_mut() {
-                batch.push_raw(tag, va, vb, arg, instr);
             }
         }
     }
@@ -552,6 +514,51 @@ pub fn read_header(bytes: &[u8]) -> Result<TraceHeader, TraceError> {
     TraceReader::new(bytes).map(TraceReader::into_header)
 }
 
+/// A trace whose every op has been decoded once and found well formed:
+/// the MTR1 bytes, their header and their op count. Replaying it with
+/// [`replay_decoded`] cannot hit a decode error.
+#[derive(Debug)]
+pub struct DecodedTrace {
+    bytes: Vec<u8>,
+    header: TraceHeader,
+    ops: u64,
+}
+
+impl DecodedTrace {
+    /// The trace's parsed header.
+    #[must_use]
+    pub fn header(&self) -> &TraceHeader {
+        &self.header
+    }
+
+    /// Ops in the trace.
+    #[must_use]
+    pub fn ops(&self) -> u64 {
+        self.ops
+    }
+}
+
+/// Walks every op of `bytes` once with [`TraceReader::next_op`] and
+/// keeps the validated bytes for [`replay_decoded`].
+///
+/// # Errors
+///
+/// Any header or body decode error ([`TraceError::BadMagic`],
+/// [`TraceError::Truncated`], [`TraceError::UnknownTag`],
+/// [`TraceError::TrailingBytes`], [`TraceError::BadName`]).
+pub fn decode_trace(bytes: &[u8]) -> Result<DecodedTrace, TraceError> {
+    let mut reader = TraceReader::new(bytes)?;
+    let mut ops = 0u64;
+    while reader.next_op()?.is_some() {
+        ops += 1;
+    }
+    Ok(DecodedTrace {
+        bytes: bytes.to_vec(),
+        header: reader.into_header(),
+        ops,
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Replay
 // ---------------------------------------------------------------------------
@@ -578,6 +585,19 @@ pub fn replay(machine: &mut Machine, bytes: &[u8]) -> Result<TraceHeader, TraceE
         op_index += 1;
     }
     Ok(reader.into_header())
+}
+
+/// [`replay`] of a [`DecodedTrace`]'s bytes.
+///
+/// # Errors
+///
+/// [`TraceError::ReplayFault`] if an op faults — the trace does not
+/// match the machine's configuration or initial state.
+pub fn replay_decoded(
+    machine: &mut Machine,
+    trace: &DecodedTrace,
+) -> Result<TraceHeader, TraceError> {
+    replay(machine, &trace.bytes)
 }
 
 /// Drives a single decoded op through `machine`'s public API — the
@@ -741,73 +761,6 @@ mod tests {
             decoded.push(op);
         }
         assert_eq!(decoded, ops);
-    }
-
-    #[test]
-    fn captured_batches_match_decoded_batches() {
-        // Every tag once, plus enough scalar filler to roll the capture
-        // over a batch boundary — the captured SoA batches must be
-        // exactly what decode_trace reproduces from the bytes.
-        let mut ops: Vec<MachineOp> = vec![
-            MachineOp::SpawnProcess,
-            MachineOp::SwitchProcess { pid: 1 },
-            MachineOp::Sbrk { increment: 4096 },
-            MachineOp::SwapOutSuperpage { vpn: Vpn::new(7) },
-            MachineOp::DemoteSuperpage { vpn: Vpn::new(8) },
-            MachineOp::PageBits { vpn: Vpn::new(9) },
-            MachineOp::RecolorPage {
-                vpn: Vpn::new(10),
-                color: 3,
-            },
-            MachineOp::ReadBlock {
-                va: VirtAddr::new(0x2000_0000),
-                len: 128,
-                instr: 32,
-            },
-            MachineOp::WriteBlock {
-                va: VirtAddr::new(0x2000_1000),
-                len: 128,
-                instr: 32,
-            },
-            MachineOp::StreamReadU32 {
-                base: VirtAddr::new(0x2000_2000),
-                count: 16,
-                instr: 1,
-            },
-            MachineOp::StreamWritePairU32 {
-                a: VirtAddr::new(0x2000_3000),
-                b: VirtAddr::new(0x2000_4000),
-                count: 16,
-                instr: 2,
-            },
-            MachineOp::StreamWriteU32F64 {
-                a: VirtAddr::new(0x2000_5000),
-                b: VirtAddr::new(0x2000_6000),
-                count: 16,
-                instr: 2,
-            },
-        ];
-        ops.extend(sample_ops());
-        for i in 0..5000u64 {
-            ops.push(MachineOp::Read {
-                va: VirtAddr::new(0x3000_0000 + i * 8),
-                size: if i % 3 == 0 { 4 } else { 8 },
-            });
-            ops.push(MachineOp::Execute { n: 2 });
-        }
-        let mut w = TraceWriter::capturing();
-        for op in &ops {
-            w.record(op);
-        }
-        let (bytes, captured) = w.finish_decoded("cap", 1, 42, true);
-        let captured = captured.expect("capturing writer yields batches");
-        let decoded = decode_trace(&bytes).expect("own bytes decode");
-        assert_eq!(captured.header(), decoded.header());
-        assert_eq!(captured.ops(), decoded.ops());
-        assert_eq!(captured.batches(), decoded.batches());
-        // And a plain writer yields no batches.
-        let (_, none) = TraceWriter::new().finish_decoded("cap", 1, 42, true);
-        assert!(none.is_none());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! the header survives arbitrary name/outcome values.
 
 use mtlb_sim::{MachineOp, OpSink};
-use mtlb_trace::{decode_trace, OpBatch, TraceReader, TraceWriter};
+use mtlb_trace::{decode_trace, read_header, TraceReader, TraceWriter};
 use mtlb_types::{Prot, VirtAddr, Vpn};
 use proptest::prelude::*;
 
@@ -112,69 +112,38 @@ proptest! {
     }
 
     #[test]
-    fn batched_decode_matches_scalar_decode(
+    fn finish_decoded_agrees_with_decode_trace(
         ops in proptest::collection::vec(op_strategy(), 0..300),
-        max in 1usize..97,
         checksum in any::<u64>(),
     ) {
-        // The SoA batch decoder and the scalar reader are two
-        // independent walks over the same wire bytes; they must
-        // reconstruct identical op streams regardless of how the
-        // batch boundary (`max`) slices the stream. The record-side
-        // capture path (`TraceWriter::capturing`) must agree with
-        // both without ever touching the decoder.
-        let mut w = TraceWriter::capturing();
+        // The trace a writer hands back with its sealed bytes must be
+        // exactly what decoding those bytes yields.
+        let mut w = TraceWriter::new();
         for op in &ops {
             w.record(op);
         }
         let (bytes, captured) = w.finish_decoded("synth_stride", 0, checksum, true);
-
-        let mut r = TraceReader::new(&bytes).unwrap();
-        let mut batch = OpBatch::default();
-        let mut batched = Vec::with_capacity(ops.len());
-        loop {
-            let n = r.next_batch(&mut batch, max).unwrap();
-            if n == 0 {
-                break;
-            }
-            prop_assert_eq!(batch.len(), n);
-            for i in 0..n {
-                batched.push(batch.op(i));
-            }
-        }
-        prop_assert_eq!(&batched, &ops);
-
-        let decoded = decode_trace(&bytes).unwrap();
-        prop_assert_eq!(decoded.ops(), ops.len() as u64);
-        let mut from_decoded = Vec::with_capacity(ops.len());
-        for b in decoded.batches() {
-            for i in 0..b.len() {
-                from_decoded.push(b.op(i));
-            }
-        }
-        prop_assert_eq!(&from_decoded, &ops);
-
         let captured = captured.unwrap();
+        let decoded = decode_trace(&bytes).unwrap();
         prop_assert_eq!(captured.header(), decoded.header());
-        prop_assert_eq!(captured.batches(), decoded.batches());
+        prop_assert_eq!(captured.header(), &read_header(&bytes).unwrap());
+        prop_assert_eq!(captured.ops(), decoded.ops());
+        prop_assert_eq!(decoded.ops(), ops.len() as u64);
     }
 
     #[test]
-    fn batch_decoder_never_panics_on_corrupt_bytes(
+    fn decode_trace_never_panics_on_corrupt_bytes(
         bytes in proptest::collection::vec(any::<u8>(), 0..256),
-        max in 1usize..97,
     ) {
-        // The batch path has its own varint walk and SoA writes; it
-        // must be as corruption-proof as the scalar reader.
-        let _ = decode_trace(&bytes);
-        if let Ok(mut r) = TraceReader::new(&bytes) {
-            let mut batch = OpBatch::default();
-            for _ in 0..4096 {
-                match r.next_batch(&mut batch, max) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => continue,
-                }
+        // The whole-trace walk must be as corruption-proof as the
+        // op-at-a-time reader, and agree with it on the op count.
+        if let Ok(decoded) = decode_trace(&bytes) {
+            let mut r = TraceReader::new(&bytes).unwrap();
+            let mut n = 0u64;
+            while r.next_op().unwrap().is_some() {
+                n += 1;
             }
+            prop_assert_eq!(decoded.ops(), n);
         }
     }
 }
