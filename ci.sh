@@ -73,9 +73,10 @@ diff "$DET_DIR/fig3_legacy" "$DET_DIR/fig3_cores1"
 diff "$DET_DIR/fig6_j1" "$DET_DIR/fig6_j4"
 
 echo "== fig5 scheme shoot-out determinism (stdout + JSON jobs-invariant)"
-# The rival-scheme comparison replays one recorded stream per workload
-# through every front end; neither the table nor the per-cell JSON
-# reports may depend on how many job threads computed them.
+# The rival-scheme comparison runs every front end live on each
+# workload's one address stream (recorded once per workload by the
+# Runner); neither the table nor the per-cell JSON reports may depend
+# on how many job threads computed them.
 ./target/release/repro fig5 --test-scale --jobs 1 --json-dir "$DET_DIR/fig5_json1" \
   > "$DET_DIR/fig5_j1" 2>/dev/null
 ./target/release/repro fig5 --test-scale --jobs 4 --json-dir "$DET_DIR/fig5_json2" \
@@ -86,25 +87,29 @@ diff "$DET_DIR/fig5_j1.norm" "$DET_DIR/fig5_j4.norm"
 diff -r "$DET_DIR/fig5_json1" "$DET_DIR/fig5_json2"
 
 echo "== trace record/replay determinism (live == recorded == replayed)"
-# Three test-scale fig3 runs: plain (every job live), recording (traces
-# persisted to disk), and replaying every job from the persisted
-# traces. All three stdouts, and the live and replayed JSON reports,
-# must be byte-identical — the trace record/replay layer is required
-# to be invisible in simulated results.
-./target/release/repro fig3 --test-scale --json-dir "$DET_DIR/rr_live_json" \
-  > "$DET_DIR/rr_live_raw" 2>/dev/null
-./target/release/repro fig3 --test-scale --record-traces "$DET_DIR/traces" \
-  > "$DET_DIR/rr_record_raw" 2>/dev/null
-./target/release/repro fig3 --test-scale --replay-traces "$DET_DIR/traces" \
-  --json-dir "$DET_DIR/rr_replay_json" > "$DET_DIR/rr_replay_raw" 2>/dev/null
-# The JSON runs name their json paths and the recording run appends
-# [trace written ...] notices; normalise both before comparing.
-sed "s|$DET_DIR/rr_live_json|JSON_DIR|" "$DET_DIR/rr_live_raw" > "$DET_DIR/rr_live"
-sed "s|$DET_DIR/rr_replay_json|JSON_DIR|" "$DET_DIR/rr_replay_raw" > "$DET_DIR/rr_replay"
-grep -v '^\[trace written' "$DET_DIR/rr_record_raw" > "$DET_DIR/rr_record"
-grep -v '^\[written ' "$DET_DIR/rr_live" | diff - "$DET_DIR/rr_record"
-diff "$DET_DIR/rr_live" "$DET_DIR/rr_replay"
-diff -r "$DET_DIR/rr_live_json" "$DET_DIR/rr_replay_json"
+# Three test-scale runs of each Runner-driven sweep: plain (every job
+# live), recording (traces persisted to disk), and replaying every job
+# from the persisted traces (fig6 also co-runs from them). All three
+# stdouts, and the live and replayed JSON reports, must be
+# byte-identical — the trace record/replay layer is required to be
+# invisible in simulated results.
+for EXP in fig3 fig5 fig6; do
+  RR="$DET_DIR/rr_$EXP"
+  ./target/release/repro "$EXP" --test-scale --json-dir "$RR/live_json" \
+    > "$RR.live_raw" 2>/dev/null
+  ./target/release/repro "$EXP" --test-scale --record-traces "$RR/traces" \
+    > "$RR.record_raw" 2>/dev/null
+  ./target/release/repro "$EXP" --test-scale --replay-traces "$RR/traces" \
+    --json-dir "$RR/replay_json" > "$RR.replay_raw" 2>/dev/null
+  # The JSON runs name their json paths and the recording run appends
+  # [trace written ...] notices; normalise both before comparing.
+  sed "s|$RR/live_json|JSON_DIR|" "$RR.live_raw" > "$RR.live"
+  sed "s|$RR/replay_json|JSON_DIR|" "$RR.replay_raw" > "$RR.replay"
+  grep -v '^\[trace written' "$RR.record_raw" > "$RR.record"
+  grep -v '^\[written ' "$RR.live" | diff - "$RR.record"
+  diff "$RR.live" "$RR.replay"
+  diff -r "$RR/live_json" "$RR/replay_json"
+done
 
 echo "== paper-scale cycle-fidelity gate (BENCH_pr6 vs BENCH_pr10)"
 # BENCH_pr6.json predates the fig5/fig6 experiments, so wall totals are

@@ -16,8 +16,9 @@ use mtlb_os::{
     PagingPolicy, ShadowAllocator, UserLayout,
 };
 use mtlb_schemes::SchemeConfig;
-use mtlb_sim::{Machine, MachineConfig, MachineOp, RunReport, VecOpSink};
+use mtlb_sim::{Machine, MachineConfig, MachineOp, RunReport};
 use mtlb_tlb::{CpuTlb, LookupOutcome, MicroItlb, SubblockOutcome, SubblockTlb, TlbEntry};
+use mtlb_trace::TraceReader;
 use mtlb_types::{ClockRatio, PageSize, Ppn, Prot, VirtAddr, PAGE_SIZE};
 use mtlb_workloads::{
     AccessExt, Cc1, Compress95, Em3d, Oltp, Radix, Scale, SyntheticTrace, Vortex, Workload,
@@ -1144,11 +1145,12 @@ fn rebase_op(op: &MachineOp, delta: u64) -> Option<MachineOp> {
     })
 }
 
-/// One fig6 co-run: `instances` copies of the recorded op stream, one
-/// per core, each in its own process and virtual window, interleaved
-/// by the deterministic round-robin scheduler (one op per core per
-/// turn).
-fn fig6_corun(ops: &[MachineOp], instances: usize) -> RunReport {
+/// One fig6 co-run: `instances` copies of the recorded op stream
+/// `trace` (MTR1 bytes), one per core, each in its own process and
+/// virtual window, interleaved by the deterministic round-robin
+/// scheduler (one op per core per turn). Each op is decoded once and
+/// applied, rebased, on every core in turn.
+fn fig6_corun(trace: &[u8], instances: usize) -> RunReport {
     let mut m = Machine::new(MachineConfig::paper_mtlb(96).with_cores(instances));
     // Instance 0 stays in the boot process (delta 0 — the stream
     // replays exactly as recorded); every other instance gets a fresh
@@ -1161,28 +1163,35 @@ fn fig6_corun(ops: &[MachineOp], instances: usize) -> RunReport {
         m.try_switch_process(pid).expect("pid just spawned");
     }
     m.set_active_core(0);
-    for (i, op) in ops.iter().enumerate() {
+    let mut reader =
+        TraceReader::new(trace).unwrap_or_else(|e| panic!("fig6 co-run: corrupt trace: {e}"));
+    let mut i = 0u64;
+    while let Some(op) = reader
+        .next_op()
+        .unwrap_or_else(|e| panic!("fig6 co-run: corrupt trace at op {i}: {e}"))
+    {
         for (core, &delta) in deltas.iter().enumerate() {
-            let Some(op) = rebase_op(op, delta) else {
+            let Some(op) = rebase_op(&op, delta) else {
                 continue;
             };
             m.set_active_core(core);
-            if let Err(e) = mtlb_trace::apply_op(&mut m, &op, i as u64) {
+            if let Err(e) = mtlb_trace::apply_op(&mut m, &op, i) {
                 panic!("fig6 co-run replay diverged on core {core}: {e}");
             }
         }
+        i += 1;
     }
     m.report()
 }
 
 /// The fig6 experiment: co-run 2/4/8 instances of each workload on a
 /// multi-core machine sharing one bus, MMC and MTLB, and compare
-/// against the single-core baseline. Each workload is recorded once
-/// (that recording run *is* the C1 baseline — it is never re-simulated
-/// per instance count); each `(workload, instances)` cell replays the
-/// stream round-robin across the cores. Cells are independent runner
-/// tasks, and rows are assembled in a fixed order, so the output is
-/// byte-identical at every `--jobs` level.
+/// against the single-core baseline. The baseline is the Runner's
+/// `paper_mtlb(96)` job for each workload (a result-cache hit when fig5
+/// or fig3 already ran it), and every `(workload, instances)` cell
+/// co-runs the op stream the Runner recorded for that workload. Cells
+/// are independent runner tasks, and rows are assembled in a fixed
+/// order, so the output is byte-identical at every `--jobs` level.
 #[must_use]
 pub fn fig6(
     runner: &Runner,
@@ -1190,32 +1199,34 @@ pub fn fig6(
     instance_counts: &[usize],
     workloads: &[&'static str],
 ) -> Vec<Fig6Row> {
-    let record_tasks = workloads
+    let specs: Vec<JobSpec> = workloads
         .iter()
         .map(|&name| {
-            Task::new(format!("fig6/{name}/record"), move || {
-                let mut m = Machine::new(MachineConfig::paper_mtlb(96));
-                m.set_op_sink(Box::new(VecOpSink::default()));
-                let outcome = workload_by_name(name, scale).run(&mut m);
-                assert!(outcome.verified, "fig6 record: {name} failed self-check");
-                let sink = m.take_op_sink().expect("sink still attached");
-                let ops = sink
-                    .into_any()
-                    .downcast::<VecOpSink>()
-                    .expect("VecOpSink was attached")
-                    .ops;
-                (ops, m.report())
-            })
+            JobSpec::new(
+                format!("fig6/{name}/c1"),
+                name,
+                scale,
+                MachineConfig::paper_mtlb(96),
+            )
         })
         .collect();
-    let recorded: Vec<(Vec<MachineOp>, RunReport)> = runner.run_tasks(record_tasks);
+    let baselines = runner.run(&specs);
+    let traces: Vec<_> = baselines
+        .iter()
+        .zip(workloads)
+        .map(|(b, &name)| {
+            assert!(b.outcome.verified, "fig6: {name} failed self-check");
+            runner
+                .trace(name, scale)
+                .unwrap_or_else(|| panic!("fig6: the runner holds no trace for {name}"))
+        })
+        .collect();
 
     let mut tasks = Vec::new();
-    for (w, &name) in workloads.iter().enumerate() {
+    for (trace, &name) in traces.iter().zip(workloads) {
         for &n in instance_counts {
-            let ops = &recorded[w].0;
             tasks.push(Task::new(format!("fig6/{name}/x{n}"), move || {
-                fig6_corun(ops, n)
+                fig6_corun(trace, n)
             }));
         }
     }
@@ -1223,8 +1234,8 @@ pub fn fig6(
 
     let mut rows = Vec::new();
     let mut reports = reports.into_iter();
-    for (w, &name) in workloads.iter().enumerate() {
-        let baseline = recorded[w].1.total_cycles.get();
+    for (b, &name) in baselines.iter().zip(workloads) {
+        let baseline = b.report.total_cycles.get();
         for &n in instance_counts {
             let report = reports.next().expect("one report per cell");
             rows.push(Fig6Row {
@@ -1247,8 +1258,7 @@ pub fn fig6(
 }
 
 /// One cell of the fig5 rival-scheme comparison: one translation front
-/// end at one capacity, driven by the recorded op stream of one
-/// workload.
+/// end at one capacity, running one workload.
 #[derive(Debug, Clone)]
 pub struct Fig5Row {
     /// Workload name.
@@ -1276,33 +1286,12 @@ pub struct Fig5Row {
     pub report: RunReport,
 }
 
-/// One fig5 matrix cell the record run does not already cover: build
-/// the machine for the scheme under test and re-drive the recorded op
-/// stream through it. Replay panics on divergence, so a returned report
-/// is a verified run.
-fn fig5_replay(
-    name: &str,
-    scheme: &str,
-    ops: &[MachineOp],
-    cfg: MachineConfig,
-) -> (RunReport, u64) {
-    let mut m = Machine::new(cfg);
-    for (i, op) in ops.iter().enumerate() {
-        if let Err(e) = mtlb_trace::apply_op(&mut m, op, i as u64) {
-            panic!("fig5 {scheme} replay of {name} diverged: {e}");
-        }
-    }
-    let reach = m.tlb_reach_bytes();
-    (m.report(), reach)
-}
-
-/// One column of the fig5 matrix: a scheme at a capacity, with the
-/// machine configuration to build — or `None` when the record run *is*
-/// this cell (the paper machine at 96 entries).
+/// One column of the fig5 matrix: a scheme at a capacity, and the
+/// machine configuration that runs it.
 struct Fig5Cell {
     scheme: &'static str,
     entries: usize,
-    cfg: Option<MachineConfig>,
+    cfg: MachineConfig,
 }
 
 /// The fig5 matrix columns for one size sweep. Scheme pairing follows
@@ -1322,15 +1311,14 @@ fn fig5_cells(tlb_sizes: &[usize]) -> Vec<Fig5Cell> {
         cells.push(Fig5Cell {
             scheme: "cpu",
             entries: e,
-            cfg: Some(MachineConfig::paper_base(e)),
+            cfg: MachineConfig::paper_base(e),
         });
     }
     for &e in tlb_sizes {
         cells.push(Fig5Cell {
             scheme: "mtlb",
             entries: e,
-            // The record run is the 96-entry paper machine; reuse it.
-            cfg: (e != 96).then(|| MachineConfig::paper_mtlb(e)),
+            cfg: MachineConfig::paper_mtlb(e),
         });
     }
     for &e in tlb_sizes {
@@ -1339,25 +1327,25 @@ fn fig5_cells(tlb_sizes: &[usize]) -> Vec<Fig5Cell> {
         cells.push(Fig5Cell {
             scheme: "coalesced",
             entries: e,
-            cfg: Some(cfg),
+            cfg,
         });
     }
     cells.push(Fig5Cell {
         scheme: "split",
         entries: SchemeConfig::Split.build(0).capacity(),
-        cfg: Some(MachineConfig::paper_mtlb(96).with_scheme(SchemeConfig::Split)),
+        cfg: MachineConfig::paper_mtlb(96).with_scheme(SchemeConfig::Split),
     });
     cells
 }
 
 /// The fig5 experiment: rival TLB-reach designs head-to-head on
-/// identical recorded address streams. Each workload is recorded once
-/// on the paper's 96-entry MTLB machine (that run *is* the
-/// `mtlb`/96 cell); every other `(scheme, entries)` cell replays the
-/// stream on a machine built for that scheme. Cells are independent
-/// runner tasks and rows are assembled in a fixed order, so the output
-/// is byte-identical at every `--jobs` level. Runtimes are normalised
-/// per-workload to the 96-entry conventional (`cpu`) cell.
+/// identical address streams. Every `(workload, scheme, entries)` cell
+/// is a Runner job, so each workload's stream is recorded once (by its
+/// first job) and a cell whose configuration fig3 already ran is
+/// served from the Runner's result cache. Rows are assembled in a
+/// fixed order, so the output is byte-identical at every `--jobs`
+/// level. Runtimes are normalised per-workload to the 96-entry
+/// conventional (`cpu`) cell.
 #[must_use]
 pub fn fig5(
     runner: &Runner,
@@ -1365,65 +1353,34 @@ pub fn fig5(
     tlb_sizes: &[usize],
     workloads: &[&'static str],
 ) -> Vec<Fig5Row> {
-    let record_tasks = workloads
+    let cells = fig5_cells(tlb_sizes);
+    let specs: Vec<JobSpec> = workloads
         .iter()
-        .map(|&name| {
-            Task::new(format!("fig5/{name}/record"), move || {
-                let mut m = Machine::new(MachineConfig::paper_mtlb(96));
-                m.set_op_sink(Box::new(VecOpSink::default()));
-                let outcome = workload_by_name(name, scale).run(&mut m);
-                assert!(outcome.verified, "fig5 record: {name} failed self-check");
-                let sink = m.take_op_sink().expect("sink still attached");
-                let ops = sink
-                    .into_any()
-                    .downcast::<VecOpSink>()
-                    .expect("VecOpSink was attached")
-                    .ops;
-                let reach = m.tlb_reach_bytes();
-                (ops, m.report(), reach)
+        .flat_map(|&name| {
+            cells.iter().map(move |cell| {
+                JobSpec::new(
+                    format!("fig5/{name}/{}{}", cell.scheme, cell.entries),
+                    name,
+                    scale,
+                    cell.cfg.clone(),
+                )
             })
         })
         .collect();
-    let recorded: Vec<(Vec<MachineOp>, RunReport, u64)> = runner.run_tasks(record_tasks);
-
-    let cells = fig5_cells(tlb_sizes);
-    let mut tasks = Vec::new();
-    for (w, &name) in workloads.iter().enumerate() {
-        for cell in &cells {
-            if let Some(cfg) = cell.cfg.clone() {
-                let ops = &recorded[w].0;
-                let scheme = cell.scheme;
-                tasks.push(Task::new(
-                    format!("fig5/{name}/{}{}", cell.scheme, cell.entries),
-                    move || fig5_replay(name, scheme, ops, cfg),
-                ));
-            }
-        }
-    }
-    let replayed: Vec<(RunReport, u64)> = runner.run_tasks(tasks);
+    let mut results = runner.run(&specs).into_iter();
 
     let mut rows = Vec::new();
-    let mut replayed = replayed.into_iter();
-    for (w, &name) in workloads.iter().enumerate() {
-        let results: Vec<(RunReport, u64)> = cells
-            .iter()
-            .map(|cell| match &cell.cfg {
-                Some(_) => replayed.next().expect("one result per replay cell"),
-                None => (recorded[w].1.clone(), recorded[w].2),
-            })
-            .collect();
+    for &name in workloads {
+        let results: Vec<JobResult> = results.by_ref().take(cells.len()).collect();
         let base_total = cells
             .iter()
-            .zip(results.iter())
+            .zip(&results)
             .find(|(c, _)| c.scheme == "cpu" && c.entries == 96)
-            .or_else(|| {
-                cells
-                    .iter()
-                    .zip(results.iter())
-                    .find(|(c, _)| c.scheme == "cpu")
-            })
-            .map_or(1.0, |(_, (r, _))| r.total_cycles.get() as f64);
-        for (cell, (report, reach)) in cells.iter().zip(results) {
+            .or_else(|| cells.iter().zip(&results).find(|(c, _)| c.scheme == "cpu"))
+            .map_or(1.0, |(_, r)| r.report.total_cycles.get() as f64);
+        for (cell, r) in cells.iter().zip(results) {
+            assert!(r.outcome.verified, "{}: failed self-check", r.label);
+            let report = r.report;
             let hits = report.tlb.hits;
             let misses = report.tlb.misses;
             let lookups = hits.saturating_add(misses);
@@ -1440,7 +1397,7 @@ pub fn fig5(
                 } else {
                     misses as f64 / lookups as f64
                 },
-                reach_bytes: reach,
+                reach_bytes: r.tlb_reach_bytes,
                 normalized: report.total_cycles.get() as f64 / base_total,
                 report,
             });
@@ -1509,9 +1466,19 @@ mod tests {
         // Coalescing on a fresh-boot allocator cannot miss more often
         // than the conventional TLB at the same capacity.
         assert!(cell("coalesced", 64).misses <= cell("cpu", 64).misses);
-        // The mtlb/96 cell is the record run reused, not re-simulated:
-        // its report matches the paper machine bit-for-bit.
-        assert_eq!(cell("mtlb", 96).tlb_entries, 96);
+        // The mtlb/96 cell is the paper machine: the same run fig6
+        // takes its baseline from.
+        let paper = Runner::serial().run(&[JobSpec::new(
+            "paper",
+            "radix",
+            Scale::Test,
+            MachineConfig::paper_mtlb(96),
+        )]);
+        assert_eq!(
+            format!("{:?}", cell("mtlb", 96).report),
+            format!("{:?}", paper[0].report)
+        );
+        assert_eq!(cell("mtlb", 96).reach_bytes, paper[0].tlb_reach_bytes);
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!
 //! Every job runs its workload live. The first job of each `(workload,
 //! scale)` pair also records the op stream as an [`mtlb_trace`] buffer
-//! ([`Runner::recorded_traces`], `repro --record-traces`); only traces
-//! handed in with [`Runner::preload_trace`] (`repro --replay-traces`)
-//! are replayed.
+//! ([`Runner::trace`], [`Runner::recorded_traces`], `repro
+//! --record-traces`); only traces handed in with
+//! [`Runner::preload_trace`] (`repro --replay-traces`) are replayed.
 
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
@@ -96,8 +96,19 @@ pub struct JobResult {
     pub outcome: Outcome,
     /// Full statistics snapshot of the run.
     pub report: RunReport,
+    /// Bytes the translation front end could map without a miss at
+    /// the end of the run ([`Machine::tlb_reach_bytes`]).
+    pub tlb_reach_bytes: u64,
     /// Host wall time the job took.
     pub wall: Duration,
+}
+
+/// What one simulation produces, and what the result cache keeps.
+#[derive(Clone, Debug)]
+struct Simulated {
+    outcome: Outcome,
+    report: RunReport,
+    tlb_reach_bytes: u64,
 }
 
 /// A host-time record of one finished job, for `--bench-report`.
@@ -138,7 +149,8 @@ enum TraceSlot {
     /// still run live: the trace is kept for `repro --record-traces`.
     Recorded(Arc<Vec<u8>>),
     /// Loaded with [`Runner::preload_trace`]; every job of the pair
-    /// replays it.
+    /// replays it. The first job whose replay fails records a live run
+    /// in its place.
     Preloaded(Arc<Vec<u8>>),
 }
 
@@ -150,7 +162,7 @@ type TraceCache = BTreeMap<(&'static str, Scale), TraceSlot>;
 /// config via its exhaustive `Debug` rendering. Simulations are
 /// deterministic, so identical rows appearing across experiments in
 /// one sweep (`fig3` and `fig3.4` share several) run once.
-type ResultCache = BTreeMap<(&'static str, Scale, String), (Outcome, RunReport)>;
+type ResultCache = BTreeMap<(&'static str, Scale, String), Simulated>;
 
 /// Executes independent jobs across OS threads, returning results in
 /// deterministic job order.
@@ -236,6 +248,19 @@ impl Runner {
             .or_insert_with(|| TraceSlot::Preloaded(Arc::new(bytes)));
     }
 
+    /// The op stream held for one `(workload, scale)` pair: recorded by
+    /// this runner's first job of the pair, or preloaded. `None` before
+    /// any job of the pair has finished recording.
+    #[must_use]
+    pub fn trace(&self, workload: &str, scale: Scale) -> Option<Arc<Vec<u8>>> {
+        match self.traces.lock().expect("traces").get(&(workload, scale)) {
+            Some(TraceSlot::Recorded(bytes) | TraceSlot::Preloaded(bytes)) => {
+                Some(Arc::clone(bytes))
+            }
+            Some(TraceSlot::Recording) | None => None,
+        }
+    }
+
     /// Snapshots the traces held so far — one per `(workload, scale)`
     /// pair this runner has run (or was preloaded with); see
     /// `repro --record-traces`.
@@ -260,13 +285,14 @@ impl Runner {
         self.execute(specs.len(), |i| {
             let spec = &specs[i];
             let start = Instant::now();
-            let (outcome, report) = self.simulate(spec);
+            let sim = self.simulate(spec);
             let wall = start.elapsed();
-            self.note(&spec.label, wall, Some(report.total_cycles.get()));
+            self.note(&spec.label, wall, Some(sim.report.total_cycles.get()));
             JobResult {
                 label: spec.label.clone(),
-                outcome,
-                report,
+                outcome: sim.outcome,
+                report: sim.report,
+                tlb_reach_bytes: sim.tlb_reach_bytes,
                 wall,
             }
         })
@@ -274,33 +300,35 @@ impl Runner {
 
     /// One simulation: deduplicated against an already-finished
     /// identical row when possible, simulated otherwise.
-    fn simulate(&self, spec: &JobSpec) -> (Outcome, RunReport) {
+    fn simulate(&self, spec: &JobSpec) -> Simulated {
         // Trace mode bypasses the dedup so every job still prints its
         // own cycle-attribution summary.
         let dedup_key =
             (!self.trace).then(|| (spec.workload, spec.scale, format!("{:?}", spec.cfg)));
         if let Some(key) = &dedup_key {
-            if let Some((outcome, report)) = self.results.lock().expect("results").get(key) {
-                return (outcome.clone(), report.clone());
+            if let Some(sim) = self.results.lock().expect("results").get(key) {
+                return sim.clone();
             }
         }
-        let (outcome, report) = self.simulate_uncached(spec);
+        let sim = self.simulate_uncached(spec);
         if let Some(key) = dedup_key {
             self.results
                 .lock()
                 .expect("results")
-                .insert(key, (outcome.clone(), report.clone()));
+                .insert(key, sim.clone());
         }
-        (outcome, report)
+        sim
     }
 
     /// Runs the simulation for real: replayed from a preloaded trace
     /// when one is held for the pair, live otherwise. The first live
     /// job of each pair claims the recording under the lock and runs
-    /// with a [`TraceWriter`] attached.
-    fn simulate_uncached(&self, spec: &JobSpec) -> (Outcome, RunReport) {
+    /// with a [`TraceWriter`] attached; so does the first job whose
+    /// preloaded trace fails to replay, so the bad bytes are replaced
+    /// and no later job of the pair retries them.
+    fn simulate_uncached(&self, spec: &JobSpec) -> Simulated {
         let key = (spec.workload, spec.scale);
-        let (preloaded, record) = {
+        let (preloaded, mut record) = {
             let mut traces = self.traces.lock().expect("traces");
             match traces.get(&key) {
                 Some(TraceSlot::Preloaded(bytes)) => (Some(Arc::clone(bytes)), false),
@@ -315,18 +343,33 @@ impl Runner {
             let mut machine = self.machine(spec);
             match mtlb_trace::replay(&mut machine, &bytes) {
                 Ok(header) => {
+                    let tlb_reach_bytes = machine.tlb_reach_bytes();
                     let report = machine.report();
                     self.trace_summary(&spec.label, &mut machine);
                     let outcome = Outcome {
                         checksum: header.checksum,
                         verified: header.verified,
                     };
-                    return (outcome, report);
+                    return Simulated {
+                        outcome,
+                        report,
+                        tlb_reach_bytes,
+                    };
                 }
                 // The trace does not apply to this machine (corrupt, or
                 // recorded from another build): run live instead of
-                // failing the sweep.
-                Err(e) => eprintln!("[replay] {}: {e}; running live", spec.label),
+                // failing the sweep, recording the stream unless another
+                // job of the pair already replaced these bytes.
+                Err(e) => {
+                    eprintln!("[replay] {}: {e}; running live", spec.label);
+                    let mut traces = self.traces.lock().expect("traces");
+                    if let Some(TraceSlot::Preloaded(held)) = traces.get(&key) {
+                        if Arc::ptr_eq(held, &bytes) {
+                            traces.insert(key, TraceSlot::Recording);
+                            record = true;
+                        }
+                    }
+                }
             }
         }
         let mut machine = self.machine(spec);
@@ -334,6 +377,7 @@ impl Runner {
             machine.set_op_sink(Box::new(TraceWriter::new()));
         }
         let outcome = workload_by_name(spec.workload, spec.scale).run(&mut machine);
+        let tlb_reach_bytes = machine.tlb_reach_bytes();
         let report = machine.report();
         if let Some(sink) = machine.take_op_sink() {
             if let Ok(writer) = sink.into_any().downcast::<TraceWriter>() {
@@ -350,7 +394,11 @@ impl Runner {
             }
         }
         self.trace_summary(&spec.label, &mut machine);
-        (outcome, report)
+        Simulated {
+            outcome,
+            report,
+            tlb_reach_bytes,
+        }
     }
 
     /// A fresh machine for `spec`, with the `--trace` ring attached when

@@ -1,7 +1,8 @@
 //! Multi-core determinism gates: the fig6 co-scheduling experiment and
 //! the runner's trace cache must be byte-identical at every `--jobs`
-//! level, and the fig6 baseline must be simulated exactly once per
-//! workload however many instance counts are swept.
+//! level, the fig6 baseline must be simulated exactly once per
+//! workload however many instance counts are swept, and fig5 and fig6
+//! on one runner must share one recording per workload.
 
 use mtlb_bench::experiments;
 use mtlb_bench::runner::{JobSpec, Runner};
@@ -117,5 +118,29 @@ fn recorded_traces_are_byte_identical_across_jobs_levels() {
             b2.as_slice(),
             "trace bytes for {n1} differ between --jobs 1 and --jobs 4"
         );
+    }
+}
+
+/// fig5 then fig6 on one runner record each workload's stream once,
+/// and fig6 — baseline from the result cache, co-run from fig5's
+/// recording — matches a fresh runner that runs fig6 alone.
+#[test]
+fn fig5_then_fig6_share_one_recording_per_workload() {
+    let workloads = ["em3d", "radix"];
+    let shared = Runner::with_jobs(2);
+    let _ = experiments::fig5(&shared, Scale::Test, &[64, 96], &workloads);
+    let after_fig6 = experiments::fig6(&shared, Scale::Test, &[2, 4], &workloads);
+    let traces = shared.recorded_traces();
+    let names: Vec<&str> = traces.iter().map(|(name, _, _)| *name).collect();
+    assert_eq!(names, workloads, "exactly one trace per workload");
+    assert!(traces.iter().all(|(_, scale, _)| *scale == Scale::Test));
+
+    let alone = experiments::fig6(&Runner::with_jobs(2), Scale::Test, &[2, 4], &workloads);
+    assert_eq!(after_fig6.len(), alone.len());
+    for (s, a) in after_fig6.iter().zip(&alone) {
+        assert_eq!((s.workload, s.instances), (a.workload, a.instances));
+        assert_eq!(format!("{:?}", s.report), format!("{:?}", a.report));
+        assert_eq!(s.baseline_cycles, a.baseline_cycles);
+        assert_eq!(s.efficiency.to_bits(), a.efficiency.to_bits());
     }
 }

@@ -9,6 +9,7 @@
 //! the workload outcomes. Any divergence means replay is not
 //! cycle-faithful and fails the build.
 
+use mtlb_bench::experiments;
 use mtlb_bench::runner::{JobResult, JobSpec, Runner};
 use mtlb_sim::MachineConfig;
 use mtlb_workloads::Scale;
@@ -125,4 +126,37 @@ fn corrupt_preloaded_trace_falls_back_to_live() {
         .collect();
     let (live, replayed) = live_and_replayed(&specs, |bytes| bytes[..bytes.len() - 3].to_vec());
     assert_rows_identical(&live, &replayed);
+}
+
+/// The live fallback for a preloaded trace that fails to replay records
+/// the stream and replaces the bad bytes, so later jobs of the pair do
+/// not retry them and fig6 co-runs from the good recording: fig5 and
+/// fig6 rows then equal a live runner's.
+#[test]
+fn corrupt_preloaded_trace_is_replaced_by_a_live_recording() {
+    let live = Runner::serial();
+    let live5 = experiments::fig5(&live, Scale::Test, &[96], &["radix"]);
+    let live6 = experiments::fig6(&live, Scale::Test, &[2], &["radix"]);
+    let good = live
+        .trace("radix", Scale::Test)
+        .expect("live runner recorded radix");
+
+    let seeded = Runner::serial();
+    seeded.preload_trace("radix", Scale::Test, good[..good.len() - 3].to_vec());
+    let got5 = experiments::fig5(&seeded, Scale::Test, &[96], &["radix"]);
+    let got6 = experiments::fig6(&seeded, Scale::Test, &[2], &["radix"]);
+
+    assert_eq!(got5.len(), live5.len());
+    for (g, l) in got5.iter().zip(&live5) {
+        assert_eq!((g.scheme, g.tlb_entries), (l.scheme, l.tlb_entries));
+        assert_eq!(format!("{:?}", g.report), format!("{:?}", l.report));
+        assert_eq!(g.reach_bytes, l.reach_bytes);
+    }
+    assert_eq!(got6.len(), live6.len());
+    for (g, l) in got6.iter().zip(&live6) {
+        assert_eq!(format!("{:?}", g.report), format!("{:?}", l.report));
+        assert_eq!(g.baseline_cycles, l.baseline_cycles);
+    }
+    let held = seeded.trace("radix", Scale::Test).expect("trace held");
+    assert_eq!(held.as_slice(), good.as_slice(), "bad bytes replaced");
 }

@@ -5,7 +5,8 @@
 //! * **Golden cycles** — `fig3 --test-scale` stdout (tables *and* CSV)
 //!   is byte-identical to a fixture captured from the serial,
 //!   pre-optimisation implementation, pinning every simulated cycle
-//!   count through the runner and TLB/MMC fast-path rewrites.
+//!   count through the runner and TLB/MMC fast-path rewrites. `fig5`
+//!   and `fig6` have fixtures of their own.
 //! * **Jobs parity** — `--jobs 4` produces byte-identical stdout to
 //!   `--jobs 1`, whatever order the worker threads finish in.
 //! * **JSON reports** — `--json-dir` writes one report per experiment
@@ -27,16 +28,36 @@ fn repro_stdout(args: &[&str]) -> Vec<u8> {
     out.stdout
 }
 
-#[test]
-fn fig3_serial_output_matches_pre_optimisation_golden() {
-    let golden = include_bytes!("fixtures/fig3_test_scale.txt");
-    let got = repro_stdout(&["fig3", "--test-scale", "--jobs", "1"]);
+/// Asserts `repro <experiment> --test-scale --jobs 1` stdout is
+/// byte-identical to its golden fixture.
+fn assert_matches_golden(experiment: &str, golden: &[u8]) {
+    let got = repro_stdout(&[experiment, "--test-scale", "--jobs", "1"]);
     assert!(
         got == golden,
-        "fig3 --test-scale output drifted from the golden fixture;\n\
+        "{experiment} --test-scale output drifted from the golden fixture;\n\
          simulated cycle counts must not change.\n--- got ---\n{}",
         String::from_utf8_lossy(&got)
     );
+}
+
+#[test]
+fn fig3_serial_output_matches_pre_optimisation_golden() {
+    assert_matches_golden("fig3", include_bytes!("fixtures/fig3_test_scale.txt"));
+}
+
+/// The fixture was captured when fig5 recorded each workload into an
+/// in-memory op list and replayed it per scheme; running every cell
+/// live must not move a cycle, a reach figure or a normalisation.
+#[test]
+fn fig5_serial_output_matches_golden() {
+    assert_matches_golden("fig5", include_bytes!("fixtures/fig5_test_scale.txt"));
+}
+
+/// The fixture was captured when fig6 re-recorded its own baseline run;
+/// co-running from the Runner's held trace must not move a cycle.
+#[test]
+fn fig6_serial_output_matches_golden() {
+    assert_matches_golden("fig6", include_bytes!("fixtures/fig6_test_scale.txt"));
 }
 
 #[test]
