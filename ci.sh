@@ -61,13 +61,17 @@ cargo run -q -p mtlb-analysis -- --format json > "$DET_DIR/analysis1.json"
 cargo run -q -p mtlb-analysis -- --format json > "$DET_DIR/analysis2.json"
 diff "$DET_DIR/analysis1.json" "$DET_DIR/analysis2.json"
 
-echo "== multi-core determinism (--cores 1 == legacy; fig6 jobs-invariant)"
+echo "== multi-core determinism (--cores 1 == legacy; --cores 4 golden; fig6 jobs-invariant)"
 # A 1-core machine must be bit-identical to the machine before cores
-# existed, and the fig6 co-scheduling tables must not depend on how
-# many job threads computed them.
+# existed; a 4-core machine with one busy core must match its golden
+# fixture (captured before the front ends were boxed, so it pins the
+# parked-core walks); and the fig6 co-scheduling tables must not
+# depend on how many job threads computed them.
 ./target/release/repro fig3 --test-scale > "$DET_DIR/fig3_legacy" 2>/dev/null
 ./target/release/repro fig3 --test-scale --cores 1 > "$DET_DIR/fig3_cores1" 2>/dev/null
 diff "$DET_DIR/fig3_legacy" "$DET_DIR/fig3_cores1"
+./target/release/repro fig3 --test-scale --cores 4 > "$DET_DIR/fig3_cores4" 2>/dev/null
+diff crates/bench/tests/fixtures/fig3_test_scale_cores4.txt "$DET_DIR/fig3_cores4"
 ./target/release/repro fig6 --test-scale --cores 4 --jobs 1 > "$DET_DIR/fig6_j1" 2>/dev/null
 ./target/release/repro fig6 --test-scale --cores 4 --jobs 4 > "$DET_DIR/fig6_j4" 2>/dev/null
 diff "$DET_DIR/fig6_j1" "$DET_DIR/fig6_j4"

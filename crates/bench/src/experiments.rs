@@ -16,7 +16,7 @@ use mtlb_os::{
     PagingPolicy, ShadowAllocator, UserLayout,
 };
 use mtlb_schemes::SchemeConfig;
-use mtlb_sim::{Machine, MachineConfig, MachineOp, RunReport};
+use mtlb_sim::{Machine, MachineConfig, RunReport};
 use mtlb_tlb::{CpuTlb, LookupOutcome, MicroItlb, SubblockOutcome, SubblockTlb, TlbEntry};
 use mtlb_trace::TraceReader;
 use mtlb_types::{ClockRatio, PageSize, Ppn, Prot, VirtAddr, PAGE_SIZE};
@@ -1063,93 +1063,12 @@ pub struct Fig6Row {
     pub report: RunReport,
 }
 
-/// Relocates a recorded op's virtual addresses by `delta` bytes,
-/// placing an instance's whole address stream inside its process's
-/// private 4 GB virtual window. `sbrk` needs no relocation (the kernel
-/// allocates from the calling process's own heap window, which is
-/// `delta` bytes above the recording process's — so the recorded
-/// pointer arithmetic lands exactly right), and `load_program` places
-/// text per-process by itself. Returns `None` for the host-level ops a
-/// single-process recording cannot contain; the co-run skips them.
-fn rebase_op(op: &MachineOp, delta: u64) -> Option<MachineOp> {
-    let pages = delta / PAGE_SIZE;
-    Some(match *op {
-        MachineOp::Execute { n } => MachineOp::Execute { n },
-        MachineOp::Read { va, size } => MachineOp::Read {
-            va: va + delta,
-            size,
-        },
-        MachineOp::Write { va, size } => MachineOp::Write {
-            va: va + delta,
-            size,
-        },
-        MachineOp::ReadBlock { va, len, instr } => MachineOp::ReadBlock {
-            va: va + delta,
-            len,
-            instr,
-        },
-        MachineOp::WriteBlock { va, len, instr } => MachineOp::WriteBlock {
-            va: va + delta,
-            len,
-            instr,
-        },
-        MachineOp::StreamReadU32 { base, count, instr } => MachineOp::StreamReadU32 {
-            base: base + delta,
-            count,
-            instr,
-        },
-        MachineOp::StreamWriteU32 { base, count, instr } => MachineOp::StreamWriteU32 {
-            base: base + delta,
-            count,
-            instr,
-        },
-        MachineOp::StreamWritePairU32 { a, b, count, instr } => MachineOp::StreamWritePairU32 {
-            a: a + delta,
-            b: b + delta,
-            count,
-            instr,
-        },
-        MachineOp::StreamWriteU32F64 { a, b, count, instr } => MachineOp::StreamWriteU32F64 {
-            a: a + delta,
-            b: b + delta,
-            count,
-            instr,
-        },
-        MachineOp::MapRegion { start, len, prot } => MachineOp::MapRegion {
-            start: start + delta,
-            len,
-            prot,
-        },
-        MachineOp::Remap { start, len } => MachineOp::Remap {
-            start: start + delta,
-            len,
-        },
-        MachineOp::Sbrk { increment } => MachineOp::Sbrk { increment },
-        MachineOp::SwapOutSuperpage { vpn } => MachineOp::SwapOutSuperpage {
-            vpn: vpn.offset(pages),
-        },
-        MachineOp::DemoteSuperpage { vpn } => MachineOp::DemoteSuperpage {
-            vpn: vpn.offset(pages),
-        },
-        MachineOp::PageBits { vpn } => MachineOp::PageBits {
-            vpn: vpn.offset(pages),
-        },
-        MachineOp::RecolorPage { vpn, color } => MachineOp::RecolorPage {
-            vpn: vpn.offset(pages),
-            color,
-        },
-        MachineOp::LoadProgram { len, remap_text } => MachineOp::LoadProgram { len, remap_text },
-        MachineOp::SpawnProcess | MachineOp::SwitchProcess { .. } | MachineOp::ResetStats => {
-            return None;
-        }
-    })
-}
-
 /// One fig6 co-run: `instances` copies of the recorded op stream
 /// `trace` (MTR1 bytes), one per core, each in its own process and
 /// virtual window, interleaved by the deterministic round-robin
-/// scheduler (one op per core per turn). Each op is decoded once and
-/// applied, rebased, on every core in turn.
+/// scheduler (one op per core per turn). Each op is decoded and
+/// dispatched once, then issued on every core in turn, relocated into
+/// that core's window ([`mtlb_trace::apply_op_on_cores`]).
 fn fig6_corun(trace: &[u8], instances: usize) -> RunReport {
     let mut m = Machine::new(MachineConfig::paper_mtlb(96).with_cores(instances));
     // Instance 0 stays in the boot process (delta 0 — the stream
@@ -1170,14 +1089,8 @@ fn fig6_corun(trace: &[u8], instances: usize) -> RunReport {
         .next_op()
         .unwrap_or_else(|e| panic!("fig6 co-run: corrupt trace at op {i}: {e}"))
     {
-        for (core, &delta) in deltas.iter().enumerate() {
-            let Some(op) = rebase_op(&op, delta) else {
-                continue;
-            };
-            m.set_active_core(core);
-            if let Err(e) = mtlb_trace::apply_op(&mut m, &op, i) {
-                panic!("fig6 co-run replay diverged on core {core}: {e}");
-            }
+        if let Err((core, e)) = mtlb_trace::apply_op_on_cores(&mut m, &op, &deltas, i) {
+            panic!("fig6 co-run replay diverged on core {core}: {e}");
         }
         i += 1;
     }

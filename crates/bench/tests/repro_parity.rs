@@ -28,13 +28,15 @@ fn repro_stdout(args: &[&str]) -> Vec<u8> {
     out.stdout
 }
 
-/// Asserts `repro <experiment> --test-scale --jobs 1` stdout is
-/// byte-identical to its golden fixture.
-fn assert_matches_golden(experiment: &str, golden: &[u8]) {
-    let got = repro_stdout(&[experiment, "--test-scale", "--jobs", "1"]);
+/// Asserts `repro <experiment> --test-scale --jobs 1 <extra>` stdout
+/// is byte-identical to its golden fixture.
+fn assert_matches_golden(experiment: &str, extra: &[&str], golden: &[u8]) {
+    let mut args = vec![experiment, "--test-scale", "--jobs", "1"];
+    args.extend_from_slice(extra);
+    let got = repro_stdout(&args);
     assert!(
         got == golden,
-        "{experiment} --test-scale output drifted from the golden fixture;\n\
+        "{experiment} --test-scale {extra:?} output drifted from the golden fixture;\n\
          simulated cycle counts must not change.\n--- got ---\n{}",
         String::from_utf8_lossy(&got)
     );
@@ -42,7 +44,7 @@ fn assert_matches_golden(experiment: &str, golden: &[u8]) {
 
 #[test]
 fn fig3_serial_output_matches_pre_optimisation_golden() {
-    assert_matches_golden("fig3", include_bytes!("fixtures/fig3_test_scale.txt"));
+    assert_matches_golden("fig3", &[], include_bytes!("fixtures/fig3_test_scale.txt"));
 }
 
 /// The fixture was captured when fig5 recorded each workload into an
@@ -50,14 +52,26 @@ fn fig3_serial_output_matches_pre_optimisation_golden() {
 /// live must not move a cycle, a reach figure or a normalisation.
 #[test]
 fn fig5_serial_output_matches_golden() {
-    assert_matches_golden("fig5", include_bytes!("fixtures/fig5_test_scale.txt"));
+    assert_matches_golden("fig5", &[], include_bytes!("fixtures/fig5_test_scale.txt"));
 }
 
 /// The fixture was captured when fig6 re-recorded its own baseline run;
 /// co-running from the Runner's held trace must not move a cycle.
 #[test]
 fn fig6_serial_output_matches_golden() {
-    assert_matches_golden("fig6", include_bytes!("fixtures/fig6_test_scale.txt"));
+    assert_matches_golden("fig6", &[], include_bytes!("fixtures/fig6_test_scale.txt"));
+}
+
+/// A 4-core machine with one busy core: the three idle cores only take
+/// shootdowns and are walked by every report. The fixture was captured
+/// before the front ends were boxed behind one pointer.
+#[test]
+fn fig3_four_core_output_matches_golden() {
+    assert_matches_golden(
+        "fig3",
+        &["--cores", "4"],
+        include_bytes!("fixtures/fig3_test_scale_cores4.txt"),
+    );
 }
 
 #[test]

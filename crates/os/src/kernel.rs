@@ -578,6 +578,15 @@ impl Kernel {
         cycles
     }
 
+    /// Books `cycles` the machine spent writing back other cores'
+    /// dirty lines of a superpage about to be swapped out or demoted
+    /// (this kernel's own flushes reach only the calling core's cache)
+    /// as service time, so the kernel bucket still reconciles with
+    /// [`KernelStats::service_cycles`].
+    pub fn note_remote_flush(&mut self, cycles: Cycles) {
+        self.stats.service_cycles += cycles;
+    }
+
     /// The running process id.
     #[must_use]
     pub fn current_process(&self) -> usize {
@@ -1609,6 +1618,11 @@ impl Kernel {
 
             let mmc_cycles = ctx.mmc.set_mapping(index, ShadowPte::invalid(), ctx.mem);
             cycles += ctx.ratio.device_to_cpu(mmc_cycles);
+            // The shadow page returns to the allocator: a swap copy
+            // left under its index would be read back by whichever
+            // superpage reuses it, and would let that superpage's
+            // clean swap-out skip the write.
+            self.swap.discard(index);
             if let Some(pos) = self.resident.iter().position(|x| *x == index) {
                 self.resident.swap_remove(pos);
                 if self.clock_hand > pos {

@@ -63,6 +63,12 @@ impl SwapDevice {
         self.slots.contains_key(&key)
     }
 
+    /// Drops the copy stored under `key`, if any: the page it held no
+    /// longer exists (its shadow page was freed).
+    pub fn discard(&mut self, key: u64) {
+        self.slots.remove(&key);
+    }
+
     /// Page writes performed so far.
     #[must_use]
     pub fn writes(&self) -> u64 {

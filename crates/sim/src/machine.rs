@@ -24,9 +24,9 @@ use crate::MachineConfig;
 macro_rules! kctx {
     ($self:ident) => {
         KernelCtx {
-            tlb: &mut *$self.tlb,
-            itlb: &mut $self.itlb,
-            cache: &mut $self.cache,
+            tlb: &mut *$self.front.tlb,
+            itlb: &mut $self.front.itlb,
+            cache: &mut $self.front.cache,
             mmc: &mut $self.mmc,
             mem: &mut $self.mem,
             ratio: $self.cfg.ratio,
@@ -90,21 +90,17 @@ macro_rules! kctx {
 #[derive(Debug)]
 pub struct Machine {
     cfg: MachineConfig,
-    /// Translation front end (the paper's [`CpuTlb`](mtlb_tlb::CpuTlb)
-    /// by default; fig5 swaps in rival designs behind the same trait).
-    tlb: Box<dyn TranslationScheme>,
-    itlb: MicroItlb,
-    cache: DataCache,
+    /// The active core's front end. Every hot path reaches its TLB,
+    /// cache, PC and counters through this one box, whichever core is
+    /// active and however many cores there are — the 1-core machine
+    /// runs the same code, which is its bit-identity guarantee.
+    /// [`set_active_core`](Machine::set_active_core) swaps the box with
+    /// a parked one.
+    front: Box<CoreState>,
     mmc: Mmc,
     mem: GuestMemory,
     kernel: Kernel,
     buckets: TimeBuckets,
-    loads: u64,
-    stores: u64,
-    instructions: u64,
-    code_base: VirtAddr,
-    code_len: u64,
-    pc_offset: u64,
     /// Optional structured event trace; `None` costs one branch per
     /// cycle charge.
     trace: Option<Box<dyn TraceSink>>,
@@ -121,12 +117,6 @@ pub struct Machine {
     /// residency. A memo is valid only while its recorded generation
     /// matches.
     memo_gen: u64,
-    /// Recently translated data pages for loads, direct-mapped by the
-    /// low VPN bits so page-alternating loops (key + table, source +
-    /// histogram) keep all their hot pages memoized at once.
-    read_memos: Box<[Option<AccessMemo>; MEMO_WAYS]>,
-    /// Recently translated data pages for stores.
-    write_memos: Box<[Option<AccessMemo>; MEMO_WAYS]>,
     /// Host-side fast paths enabled (memos + batch fast-forwarding).
     /// Disabled by the differential tests to produce a pure slow-path
     /// reference machine.
@@ -150,7 +140,9 @@ pub struct Machine {
     /// charge is deferred (all counters advance immediately). Drained
     /// as one summed [`TraceEvent::FastForward`] charge by
     /// [`flush_fast_forward`](Machine::flush_fast_forward) before
-    /// anything reads or charges the buckets.
+    /// anything reads or charges the buckets. Machine-wide, like the
+    /// buckets it feeds: the cycles belong to no core, so a core
+    /// switch leaves them pending.
     ff_accesses: u64,
     /// Deferred user-bucket cycles from fast-forwarded instruction
     /// batches (see `ff_accesses`).
@@ -158,14 +150,9 @@ pub struct Machine {
     /// Optional operation recorder for trace record/replay; `None`
     /// costs one branch per public API call.
     op_sink: Option<Box<dyn OpSink>>,
-    /// Parked per-core front-end state, bank-switched: one slot per
-    /// configured core, with `None` at the active core's index — the
-    /// active core's front end lives in the machine's own fields, so
-    /// every hot path is textually identical to the single-core
-    /// machine (the 1-core bit-identity guarantee by construction).
-    /// [`set_active_core`](Machine::set_active_core) swaps a parked
-    /// state in.
-    cores: Vec<Option<CoreState>>,
+    /// Parked front ends, one slot per configured core, with `None` at
+    /// the active core's index (its front end is `front`).
+    cores: Vec<Option<Box<CoreState>>>,
     /// Index of the active core in `cores`.
     active: usize,
     /// Core that issued the previous user bus transaction. A different
@@ -178,13 +165,13 @@ pub struct Machine {
     contention_cycles: Cycles,
 }
 
-/// One parked CPU front end: everything private to a core — its
-/// translation and cache state, program-counter state, retired-op
-/// counters, the translation memos keyed to its own TLB slots, and the
-/// process it is running. Swapped wholesale with the machine's live
-/// fields by [`Machine::set_active_core`].
+/// One CPU front end: everything private to a core — its translation
+/// and cache state, program-counter state, retired-op counters, and
+/// the translation memos keyed to its own TLB slots.
 #[derive(Debug)]
 struct CoreState {
+    /// Translation front end (the paper's [`CpuTlb`](mtlb_tlb::CpuTlb)
+    /// by default; fig5 swaps in rival designs behind the same trait).
     tlb: Box<dyn TranslationScheme>,
     itlb: MicroItlb,
     cache: DataCache,
@@ -194,11 +181,49 @@ struct CoreState {
     loads: u64,
     stores: u64,
     instructions: u64,
-    read_memos: Box<[Option<AccessMemo>; MEMO_WAYS]>,
-    write_memos: Box<[Option<AccessMemo>; MEMO_WAYS]>,
-    /// The process this core is running (restored into the kernel's
-    /// notion of the current process when the core becomes active).
+    /// Recently translated data pages for loads, direct-mapped by the
+    /// low VPN bits so page-alternating loops (key + table, source +
+    /// histogram) keep all their hot pages memoized at once.
+    read_memos: [Option<AccessMemo>; MEMO_WAYS],
+    /// Recently translated data pages for stores.
+    write_memos: [Option<AccessMemo>; MEMO_WAYS],
+    /// The process this core runs while parked. The active core's
+    /// process is the kernel's current process, so this field is
+    /// stale until the core is parked again.
     pid: usize,
+}
+
+impl CoreState {
+    /// A cold front end on process 0, built from `cfg`.
+    fn boxed(cfg: &MachineConfig) -> Box<Self> {
+        Box::new(CoreState {
+            tlb: cfg.scheme.build(cfg.cpu_tlb_entries),
+            itlb: MicroItlb::new(),
+            cache: DataCache::new(cfg.cache),
+            code_base: UserLayout::TEXT_BASE,
+            code_len: PAGE_SIZE,
+            pc_offset: 0,
+            loads: 0,
+            stores: 0,
+            instructions: 0,
+            read_memos: [None; MEMO_WAYS],
+            write_memos: [None; MEMO_WAYS],
+            pid: 0,
+        })
+    }
+
+    /// This core's front-end counters.
+    fn stats(&self) -> CoreStats {
+        CoreStats {
+            tlb: self.tlb.stats(),
+            cache: self.cache.stats(),
+            itlb_hits: self.itlb.hits(),
+            itlb_misses: self.itlb.misses(),
+            loads: self.loads,
+            stores: self.stores,
+            instructions: self.instructions,
+        }
+    }
 }
 
 /// Direct-mapped translation-memo table size per access kind (a power
@@ -279,27 +304,17 @@ impl Machine {
             && lines / LINES_PER_PAGE >= MEMO_WAYS as u64)
             .then(|| lines - 1);
         let mut m = Machine {
-            tlb: cfg.scheme.build(cfg.cpu_tlb_entries),
-            itlb: MicroItlb::new(),
-            cache: DataCache::new(cfg.cache),
+            front: CoreState::boxed(&cfg),
             mmc: Mmc::new(cfg.mmc),
             mem: GuestMemory::new(cfg.mmc.installed_dram),
             kernel: Kernel::new(cfg.mmc, cfg.kernel.clone()),
             cfg,
             buckets: TimeBuckets::default(),
-            loads: 0,
-            stores: 0,
-            instructions: 0,
-            code_base: UserLayout::TEXT_BASE,
-            code_len: PAGE_SIZE,
-            pc_offset: 0,
             trace: None,
             kernel_base: KernelStats::default(),
             miss_intervals: Histogram::new(),
             last_miss_at: None,
             memo_gen: 0,
-            read_memos: Box::new([None; MEMO_WAYS]),
-            write_memos: Box::new([None; MEMO_WAYS]),
             fast_paths: true,
             page_ff: true,
             ff_line_mask,
@@ -330,24 +345,11 @@ impl Machine {
         // window. At one core this vector is just `[None]`.
         m.cores.push(None);
         for _ in 1..m.cfg.cores {
-            let mut tlb = m.cfg.scheme.build(m.cfg.cpu_tlb_entries);
+            let mut core = CoreState::boxed(&m.cfg);
             if let Some(entry) = m.kernel.kernel_block_entry() {
-                tlb.insert_locked(entry);
+                core.tlb.insert_locked(entry);
             }
-            m.cores.push(Some(CoreState {
-                tlb,
-                itlb: MicroItlb::new(),
-                cache: DataCache::new(m.cfg.cache),
-                code_base: UserLayout::TEXT_BASE,
-                code_len: PAGE_SIZE,
-                pc_offset: 0,
-                loads: 0,
-                stores: 0,
-                instructions: 0,
-                read_memos: Box::new([None; MEMO_WAYS]),
-                write_memos: Box::new([None; MEMO_WAYS]),
-                pid: 0,
-            }));
+            m.cores.push(Some(core));
         }
         m
     }
@@ -355,7 +357,7 @@ impl Machine {
     /// Short name of the active translation front end (fig5 labels).
     #[must_use]
     pub fn scheme_name(&self) -> &'static str {
-        self.tlb.name()
+        self.front.tlb.name()
     }
 
     /// Bytes of virtual address space the active core's translation
@@ -363,7 +365,7 @@ impl Machine {
     /// reach" figure the paper's rivals compete on.
     #[must_use]
     pub fn tlb_reach_bytes(&self) -> u64 {
-        self.tlb.reach_bytes()
+        self.front.tlb.reach_bytes()
     }
 
     /// Number of CPU cores.
@@ -378,13 +380,16 @@ impl Machine {
         self.active
     }
 
-    /// Banks the active core's front-end state out and `core`'s in,
-    /// re-pointing the kernel at the process that core is running.
-    /// This is the deterministic round-robin scheduler's primitive: a
-    /// host-level operation (not a recorded [`MachineOp`], like
+    /// Parks the active core's front end and makes `core`'s the
+    /// front, re-pointing the kernel at the process that core is
+    /// running: one box swap and the pid. This is the deterministic
+    /// round-robin scheduler's primitive: a host-level operation (not a
+    /// recorded [`MachineOp`], like
     /// [`set_fast_paths`](Machine::set_fast_paths)) costing no
     /// simulated cycles — each core is already running; only the
-    /// simulator's attention moves. No-op when `core` is active.
+    /// simulator's attention moves. Pending fast-forward cycles stay
+    /// pending: they feed the machine-wide buckets, not a core. No-op
+    /// when `core` is active.
     ///
     /// # Panics
     ///
@@ -394,33 +399,21 @@ impl Machine {
         if core == self.active {
             return;
         }
-        // Deferred fast-forward cycles were earned by the outgoing
-        // core's run; drain them before its state is banked out.
-        self.flush_fast_forward();
-        if let Some(mut incoming) = self.cores[core].take() {
-            self.swap_core(&mut incoming);
-            self.cores[self.active] = Some(incoming);
+        if let Some(incoming) = self.cores[core].take() {
+            let mut outgoing = core::mem::replace(&mut self.front, incoming);
+            outgoing.pid = self.kernel.current_process();
+            self.kernel.set_current_process(self.front.pid);
+            self.cores[self.active] = Some(outgoing);
             self.active = core;
         }
     }
 
-    /// Exchanges the machine's live front-end fields with a parked
-    /// [`CoreState`], including the kernel's current-process pointer.
-    fn swap_core(&mut self, parked: &mut CoreState) {
-        core::mem::swap(&mut self.tlb, &mut parked.tlb);
-        core::mem::swap(&mut self.itlb, &mut parked.itlb);
-        core::mem::swap(&mut self.cache, &mut parked.cache);
-        core::mem::swap(&mut self.code_base, &mut parked.code_base);
-        core::mem::swap(&mut self.code_len, &mut parked.code_len);
-        core::mem::swap(&mut self.pc_offset, &mut parked.pc_offset);
-        core::mem::swap(&mut self.loads, &mut parked.loads);
-        core::mem::swap(&mut self.stores, &mut parked.stores);
-        core::mem::swap(&mut self.instructions, &mut parked.instructions);
-        core::mem::swap(&mut self.read_memos, &mut parked.read_memos);
-        core::mem::swap(&mut self.write_memos, &mut parked.write_memos);
-        let outgoing_pid = self.kernel.current_process();
-        self.kernel.set_current_process(parked.pid);
-        parked.pid = outgoing_pid;
+    /// Every core's front end in core-index order, the active one
+    /// included.
+    fn all_cores(&self) -> impl Iterator<Item = &CoreState> {
+        self.cores
+            .iter()
+            .map(|slot| slot.as_deref().unwrap_or(&self.front))
     }
 
     /// Drains the kernel's queued TLB shootdowns, applying each to
@@ -643,25 +636,21 @@ impl Machine {
     #[must_use]
     pub fn report(&mut self) -> RunReport {
         self.flush_fast_forward();
-        // Merge every parked core's private counters into the active
-        // core's — the report describes the whole machine. At one core
-        // the loop body never runs and the merge is the identity.
-        let mut tlb = self.tlb.stats();
-        let mut cache = self.cache.stats();
-        let mut itlb_hits = self.itlb.hits();
-        let mut itlb_misses = self.itlb.misses();
-        let mut loads = self.loads;
-        let mut stores = self.stores;
-        let mut instructions = self.instructions;
-        for core in self.cores.iter().flatten() {
-            Self::merge_tlb_stats(&mut tlb, core.tlb.stats());
-            Self::merge_cache_stats(&mut cache, core.cache.stats());
-            itlb_hits += core.itlb.hits();
-            itlb_misses += core.itlb.misses();
-            loads += core.loads;
-            stores += core.stores;
-            instructions += core.instructions;
+        // The report describes the whole machine: sum every core's
+        // private counters (at one core the sum is that core's).
+        let mut sum = CoreStats::default();
+        for core in self.all_cores() {
+            Self::merge_core_stats(&mut sum, core.stats());
         }
+        let CoreStats {
+            tlb,
+            cache,
+            itlb_hits,
+            itlb_misses,
+            loads,
+            stores,
+            instructions,
+        } = sum;
         let report = RunReport {
             total_cycles: self.buckets.total(),
             buckets: self.buckets,
@@ -689,30 +678,28 @@ impl Machine {
     /// asserts it.
     #[must_use]
     pub fn per_core_stats(&self) -> Vec<CoreStats> {
-        (0..self.cores.len())
-            .map(|i| match &self.cores[i] {
-                Some(c) => CoreStats {
-                    tlb: c.tlb.stats(),
-                    cache: c.cache.stats(),
-                    itlb_hits: c.itlb.hits(),
-                    itlb_misses: c.itlb.misses(),
-                    loads: c.loads,
-                    stores: c.stores,
-                    instructions: c.instructions,
-                },
-                // The `None` slot is the active core: its state lives
-                // in the machine's own fields.
-                None => CoreStats {
-                    tlb: self.tlb.stats(),
-                    cache: self.cache.stats(),
-                    itlb_hits: self.itlb.hits(),
-                    itlb_misses: self.itlb.misses(),
-                    loads: self.loads,
-                    stores: self.stores,
-                    instructions: self.instructions,
-                },
-            })
-            .collect()
+        self.all_cores().map(CoreState::stats).collect()
+    }
+
+    /// Field-by-field sum of two [`CoreStats`] (exhaustive destructure,
+    /// like [`merge_tlb_stats`](Machine::merge_tlb_stats)).
+    fn merge_core_stats(into: &mut CoreStats, from: CoreStats) {
+        let CoreStats {
+            tlb,
+            cache,
+            itlb_hits,
+            itlb_misses,
+            loads,
+            stores,
+            instructions,
+        } = from;
+        Self::merge_tlb_stats(&mut into.tlb, tlb);
+        Self::merge_cache_stats(&mut into.cache, cache);
+        into.itlb_hits = into.itlb_hits.saturating_add(itlb_hits);
+        into.itlb_misses = into.itlb_misses.saturating_add(itlb_misses);
+        into.loads = into.loads.saturating_add(loads);
+        into.stores = into.stores.saturating_add(stores);
+        into.instructions = into.instructions.saturating_add(instructions);
     }
 
     /// Field-by-field sum of two [`TlbStats`](mtlb_tlb::TlbStats) —
@@ -793,9 +780,9 @@ impl Machine {
         }
         self.invalidate_memos();
         self.service_shootdowns();
-        self.code_base = base;
-        self.code_len = len;
-        self.pc_offset = 0;
+        self.front.code_base = base;
+        self.front.code_len = len;
+        self.front.pc_offset = 0;
     }
 
     /// Executes `n` single-cycle instructions, advancing the simulated PC
@@ -822,48 +809,51 @@ impl Machine {
             // stays inside the current micro-ITLB'd text page without
             // wrapping, it is exactly one translate hit plus `n` user
             // cycles. Counters advance now; the charge is deferred.
-            let va = self.code_base + self.pc_offset;
+            let va = self.front.code_base + self.front.pc_offset;
             let bytes = n.saturating_mul(4);
-            let window = (PAGE_SIZE - va.page_offset()).min(self.code_len - self.pc_offset);
-            if bytes <= window && self.itlb.covers(va) {
-                self.instructions = self.instructions.saturating_add(n);
+            let window =
+                (PAGE_SIZE - va.page_offset()).min(self.front.code_len - self.front.pc_offset);
+            if bytes <= window && self.front.itlb.covers(va) {
+                self.front.instructions = self.front.instructions.saturating_add(n);
                 self.ff_instructions = self.ff_instructions.saturating_add(n);
-                self.itlb.note_fast_hits(1);
-                self.pc_offset = (self.pc_offset + bytes) % self.code_len;
+                self.front.itlb.note_fast_hits(1);
+                self.front.pc_offset = (self.front.pc_offset + bytes) % self.front.code_len;
                 return Ok(());
             }
         }
-        self.instructions = self.instructions.saturating_add(n);
+        self.front.instructions = self.front.instructions.saturating_add(n);
         self.charge(Bucket::User, Cycles::new(n), || TraceEvent::Execute {
             instructions: n,
         });
         let mut remaining = n.saturating_mul(4); // 4-byte instructions
         while remaining > 0 {
-            let va = self.code_base + self.pc_offset;
+            let va = self.front.code_base + self.front.pc_offset;
             self.ifetch_translate(va)?;
             let to_page_end = PAGE_SIZE - va.page_offset();
-            let to_wrap = self.code_len - self.pc_offset;
+            let to_wrap = self.front.code_len - self.front.pc_offset;
             let step = remaining.min(to_page_end).min(to_wrap);
-            self.pc_offset = (self.pc_offset + step) % self.code_len;
+            self.front.pc_offset = (self.front.pc_offset + step) % self.front.code_len;
             remaining -= step;
         }
         Ok(())
     }
 
     fn ifetch_translate(&mut self, va: VirtAddr) -> Result<(), Fault> {
-        if self.itlb.translate(va).is_some() {
+        if self.front.itlb.translate(va).is_some() {
             return Ok(());
         }
         match self
+            .front
             .tlb
             .translate(va, AccessKind::IFetch, PrivilegeLevel::User)
         {
             LookupOutcome::Hit(_) => {
                 let entry = self
+                    .front
                     .tlb
                     .entry_for(va.vpn())
                     .expect("entry present after a hit");
-                self.itlb.refill(entry);
+                self.front.itlb.refill(entry);
                 Ok(())
             }
             LookupOutcome::Miss => {
@@ -877,7 +867,7 @@ impl Machine {
                 // The handler may have auto-promoted a region, shooting
                 // down the remapped range on the other cores.
                 self.service_shootdowns();
-                self.itlb.refill(entry);
+                self.front.itlb.refill(entry);
                 Ok(())
             }
             LookupOutcome::Fault(f) => Err(f),
@@ -888,7 +878,7 @@ impl Machine {
 
     fn translate_data(&mut self, va: VirtAddr, kind: AccessKind) -> Result<PhysAddr, Fault> {
         loop {
-            match self.tlb.translate(va, kind, PrivilegeLevel::User) {
+            match self.front.tlb.translate(va, kind, PrivilegeLevel::User) {
                 LookupOutcome::Hit(pa) => return Ok(pa),
                 LookupOutcome::Miss => {
                     self.note_tlb_miss();
@@ -909,9 +899,9 @@ impl Machine {
     /// page faults transparently (swap-in and retry, §4).
     fn cached_access(&mut self, va: VirtAddr, pa: PhysAddr, write: bool) {
         let result = if write {
-            self.cache.access_write(va, pa)
+            self.front.cache.access_write(va, pa)
         } else {
-            self.cache.access_read(va, pa)
+            self.front.cache.access_read(va, pa)
         };
         // Single-cycle cache pipeline, hit or miss.
         self.charge(Bucket::User, Cycles::new(1), || TraceEvent::CacheAccess {
@@ -936,10 +926,10 @@ impl Machine {
             let mway = ((idx >> PAGE_LINE_SHIFT) as usize) & (MEMO_WAYS - 1);
             let word = ((idx & (LINES_PER_PAGE - 1)) >> 6) as usize;
             let bit = 1u64 << (idx & 63);
-            if let Some(m) = self.read_memos[mway].as_mut() {
+            if let Some(m) = self.front.read_memos[mway].as_mut() {
                 m.resident[word] &= !bit;
             }
-            if let Some(m) = self.write_memos[mway].as_mut() {
+            if let Some(m) = self.front.write_memos[mway].as_mut() {
                 m.resident[word] &= !bit;
             }
         }
@@ -1022,9 +1012,9 @@ impl Machine {
         let way = (vpn as usize) & (MEMO_WAYS - 1);
         if self.fast_paths {
             let memo = if write {
-                self.write_memos[way]
+                self.front.write_memos[way]
             } else {
-                self.read_memos[way]
+                self.front.read_memos[way]
             };
             if let Some(mo) = memo {
                 if mo.gen == self.memo_gen && mo.vpn == vpn {
@@ -1033,9 +1023,9 @@ impl Machine {
             }
         }
         if write {
-            self.stores = self.stores.saturating_add(1);
+            self.front.stores = self.front.stores.saturating_add(1);
         } else {
-            self.loads = self.loads.saturating_add(1);
+            self.front.loads = self.front.loads.saturating_add(1);
         }
         let kind = if write {
             AccessKind::Write
@@ -1046,9 +1036,9 @@ impl Machine {
         // Both translate hit paths leave the hit slot as the TLB's MRU,
         // so this names the entry that served (and will keep serving)
         // this page.
-        let slot = self.tlb.last_hit_slot();
+        let slot = self.front.tlb.last_hit_slot();
         let gen = self.memo_gen;
-        let tlb_gen = self.tlb.generation();
+        let tlb_gen = self.front.tlb.generation();
         self.cached_access(va, pa, write);
         let real = self.functional_addr(pa);
         if self.fast_paths && gen == self.memo_gen {
@@ -1072,9 +1062,9 @@ impl Machine {
                 resident,
             };
             if write {
-                self.write_memos[way] = Some(mo);
+                self.front.write_memos[way] = Some(mo);
             } else {
-                self.read_memos[way] = Some(mo);
+                self.front.read_memos[way] = Some(mo);
             }
         }
         Ok((pa, real))
@@ -1100,7 +1090,7 @@ impl Machine {
         // `memo_gen` too). The trait's generation hook makes the
         // implication checkable.
         debug_assert_eq!(
-            self.tlb.generation(),
+            self.front.tlb.generation(),
             mo.tlb_gen,
             "access memo outlived its TLB generation"
         );
@@ -1113,27 +1103,28 @@ impl Machine {
             // exactly one user cycle and change no other state. Every
             // counter advances now; only the charge is deferred.
             if write {
-                self.stores = self.stores.saturating_add(1);
+                self.front.stores = self.front.stores.saturating_add(1);
             } else {
-                self.loads = self.loads.saturating_add(1);
+                self.front.loads = self.front.loads.saturating_add(1);
             }
-            self.tlb.note_fast_hits(mo.slot, 1);
+            self.front.tlb.note_fast_hits(mo.slot, 1);
             let pa = mo.bus_page + off;
-            self.cache.note_fast_hits(va, pa, 1, write);
+            self.front.cache.note_fast_hits(va, pa, 1, write);
             self.ff_accesses = self.ff_accesses.saturating_add(1);
             return (pa, mo.real_page + off);
         }
         if write {
-            self.stores = self.stores.saturating_add(1);
+            self.front.stores = self.front.stores.saturating_add(1);
         } else {
-            self.loads = self.loads.saturating_add(1);
+            self.front.loads = self.front.loads.saturating_add(1);
         }
         // Exactly the side effects of the translate hit the slow path
         // would have made (hit counter, NRU used bit, MRU pointer).
-        self.tlb.note_fast_hits(mo.slot, 1);
+        self.front.tlb.note_fast_hits(mo.slot, 1);
         let pa = mo.bus_page + off;
         debug_assert!(
-            self.tlb
+            self.front
+                .tlb
                 .entry_for(va.vpn())
                 .is_some_and(|e| e.translate(va) == Some(pa)),
             "access memo diverged from the TLB"
@@ -1145,9 +1136,9 @@ impl Machine {
                 // is now resident (and dirty, for a store) — earn its
                 // residency bit in the memo this access replayed.
                 let memos = if write {
-                    &mut self.write_memos
+                    &mut self.front.write_memos
                 } else {
-                    &mut self.read_memos
+                    &mut self.front.read_memos
                 };
                 if let Some(m) = memos[way].as_mut() {
                     debug_assert_eq!(m.vpn, mo.vpn);
@@ -1438,10 +1429,10 @@ impl Machine {
             // Bound 2: the fetch stream stays inside the current text
             // page (micro-ITLB hit per item) and does not wrap.
             if k > 0 && instr > 0 {
-                let text_va = self.code_base + self.pc_offset;
-                if self.itlb.covers(text_va) {
-                    let window =
-                        (PAGE_SIZE - text_va.page_offset()).min(self.code_len - self.pc_offset);
+                let text_va = self.front.code_base + self.front.pc_offset;
+                if self.front.itlb.covers(text_va) {
+                    let window = (PAGE_SIZE - text_va.page_offset())
+                        .min(self.front.code_len - self.front.pc_offset);
                     k = k.min(window / instr.saturating_mul(4));
                 } else {
                     k = 0;
@@ -1457,7 +1448,7 @@ impl Machine {
                     } else {
                         AccessKind::Read
                     };
-                    match self.tlb.slot_for(page_va.vpn()) {
+                    match self.front.tlb.slot_for(page_va.vpn()) {
                         Some((slot, entry)) if entry.prot().permits(kind, PrivilegeLevel::User) => {
                             // Mappings cannot change mid-loop (no
                             // syscalls), so any covering entry agrees
@@ -1485,7 +1476,7 @@ impl Machine {
                 let mut va = lane.base + i * lane.size;
                 let mut bus = anchors[l].0 + lane.size;
                 while resident < k {
-                    if !self.cache.probe(va, bus) {
+                    if !self.front.cache.probe(va, bus) {
                         break;
                     }
                     let line_off = {
@@ -1513,11 +1504,11 @@ impl Machine {
             }
             for (l, lane) in lanes.iter().enumerate() {
                 if lane.write {
-                    self.stores = self.stores.saturating_add(k);
+                    self.front.stores = self.front.stores.saturating_add(k);
                 } else {
-                    self.loads = self.loads.saturating_add(k);
+                    self.front.loads = self.front.loads.saturating_add(k);
                 }
-                self.tlb.note_fast_hits(slots[l], k);
+                self.front.tlb.note_fast_hits(slots[l], k);
                 // Per-line hit accounting, mirroring the residency walk.
                 let mut done = 0u64;
                 let mut va = lane.base + i * lane.size;
@@ -1528,16 +1519,18 @@ impl Machine {
                         raw % CACHE_LINE_SIZE
                     };
                     let in_line = ((CACHE_LINE_SIZE - line_off) / lane.size).min(k - done);
-                    self.cache.note_fast_hits(va, bus, in_line, lane.write);
+                    self.front
+                        .cache
+                        .note_fast_hits(va, bus, in_line, lane.write);
                     done += in_line;
                     va += in_line * lane.size;
                     bus += in_line * lane.size;
                 }
             }
             if instr > 0 {
-                self.instructions = self.instructions.saturating_add(k * instr);
-                self.itlb.note_fast_hits(k);
-                self.pc_offset = (self.pc_offset + k * instr * 4) % self.code_len;
+                self.front.instructions = self.front.instructions.saturating_add(k * instr);
+                self.front.itlb.note_fast_hits(k);
+                self.front.pc_offset = (self.front.pc_offset + k * instr * 4) % self.front.code_len;
             }
             let accesses = k * lanes.len() as u64;
             let instructions = k * instr;
@@ -1793,7 +1786,9 @@ impl Machine {
     /// configured paging policy (§2.5 experiments).
     pub fn swap_out_superpage(&mut self, vpn: Vpn) -> SwapOutReport {
         self.record_op(|| MachineOp::SwapOutSuperpage { vpn });
-        let rep = self.kernel.swap_out_superpage(&mut kctx!(self), vpn);
+        let remote = self.flush_parked_caches(vpn);
+        let mut rep = self.kernel.swap_out_superpage(&mut kctx!(self), vpn);
+        rep.cycles += remote;
         self.invalidate_memos();
         self.charge(Bucket::Kernel, rep.cycles, || {
             TraceEvent::SwapOutSuperpage {
@@ -1807,10 +1802,42 @@ impl Machine {
     /// Demotes the superpage containing `vpn` back to 4 KB pages.
     pub fn demote_superpage(&mut self, vpn: Vpn) {
         self.record_op(|| MachineOp::DemoteSuperpage { vpn });
-        let c = self.kernel.demote_superpage(&mut kctx!(self), vpn);
+        let remote = self.flush_parked_caches(vpn);
+        let c = remote + self.kernel.demote_superpage(&mut kctx!(self), vpn);
         self.invalidate_memos();
         self.charge(Bucket::Kernel, c, || TraceEvent::Demote);
         self.service_shootdowns();
+    }
+
+    /// Writes back and drops the parked cores' L1 lines of the shadow
+    /// superpage containing `vpn`, before a swap-out or demotion retires
+    /// the shadow pages those lines are tagged with. The kernel's own
+    /// flush reaches only the active core's cache, but a process that
+    /// ran on another core may have left lines there; a dirty one
+    /// written back after its page was swapped out would shadow-fault,
+    /// and a clean one would hit on a non-resident page. Returns the
+    /// write-backs' bus cycles, booked as kernel service time.
+    fn flush_parked_caches(&mut self, vpn: Vpn) -> Cycles {
+        let Some(sp) = self.kernel.aspace().superpage_of(vpn).copied() else {
+            return Cycles::ZERO;
+        };
+        let mut cycles = Cycles::ZERO;
+        for core in self.cores.iter_mut().flatten() {
+            for i in 0..sp.size.base_pages() {
+                let out = core
+                    .cache
+                    .flush_page(sp.vpn_base.offset(i), sp.shadow_base.offset(i).bus());
+                for wb in out.writebacks {
+                    let resp = self
+                        .mmc
+                        .bus_access(wb, BusOp::Writeback, &mut self.mem)
+                        .expect("remote flush writeback targets a resident shadow page");
+                    cycles += self.cfg.ratio.device_to_cpu(resp.mmc_cycles);
+                }
+            }
+        }
+        self.kernel.note_remote_flush(cycles);
+        cycles
     }
 
     /// Reads the per-base-page referenced/dirty bits of the superpage
@@ -1902,17 +1929,9 @@ impl Machine {
         // so the trace sink (if any) sees them, then zero everything.
         self.flush_fast_forward();
         self.buckets = TimeBuckets::default();
-        self.loads = 0;
-        self.stores = 0;
-        self.instructions = 0;
-        self.tlb.reset_stats();
-        self.cache.reset_stats();
         self.mmc.reset_stats();
-        // Parked cores' front-end counters are part of the merged
-        // report; reset them the same way as the active core's (the
-        // micro-ITLB counters are cumulative on every core, matching
-        // the single-core machine).
-        for core in self.cores.iter_mut().flatten() {
+        // The micro-ITLB counters are cumulative on every core.
+        for core in std::iter::once(&mut self.front).chain(self.cores.iter_mut().flatten()) {
             core.tlb.reset_stats();
             core.cache.reset_stats();
             core.loads = 0;
@@ -2071,8 +2090,7 @@ impl Machine {
         // Rival-scheme extras (fig5): each front-end instance's private
         // counters must reconcile with its shared `TlbStats` — every
         // fill was classified exactly once.
-        for scheme in std::iter::once(&self.tlb).chain(self.cores.iter().flatten().map(|c| &c.tlb))
-        {
+        for scheme in self.all_cores().map(|c| &c.tlb) {
             if let Some(co) = scheme.as_any().downcast_ref::<CoalescedTlb>() {
                 let CoalescedStats {
                     single_fills,
@@ -2102,43 +2120,34 @@ impl Machine {
             }
         }
         // Per-core symmetry: the merged report figures must equal the
-        // field-by-field sum over `per_core_stats()`, with every
-        // `CoreStats` field named (adding a per-core counter without
-        // deciding how it merges is a compile error here).
+        // sum over `per_core_stats()`, with every `CoreStats` field
+        // named (adding a per-core counter without deciding how it
+        // merges is a compile error here).
         let mut sum = CoreStats::default();
         for core in self.per_core_stats() {
-            let CoreStats {
-                tlb,
-                cache,
-                itlb_hits,
-                itlb_misses,
-                loads,
-                stores,
-                instructions,
-            } = core;
-            Self::merge_tlb_stats(&mut sum.tlb, tlb);
-            Self::merge_cache_stats(&mut sum.cache, cache);
-            sum.itlb_hits = sum.itlb_hits.saturating_add(itlb_hits);
-            sum.itlb_misses = sum.itlb_misses.saturating_add(itlb_misses);
-            sum.loads = sum.loads.saturating_add(loads);
-            sum.stores = sum.stores.saturating_add(stores);
-            sum.instructions = sum.instructions.saturating_add(instructions);
+            Self::merge_core_stats(&mut sum, core);
         }
+        let CoreStats {
+            tlb,
+            cache,
+            itlb_hits,
+            itlb_misses,
+            loads,
+            stores,
+            instructions,
+        } = sum;
+        assert_eq!(tlb, r.tlb, "attribution audit: per-core TLB stats drift");
         assert_eq!(
-            sum.tlb, r.tlb,
-            "attribution audit: per-core TLB stats drift"
-        );
-        assert_eq!(
-            sum.cache, r.cache,
+            cache, r.cache,
             "attribution audit: per-core cache stats drift"
         );
         assert_eq!(
-            (sum.itlb_hits, sum.itlb_misses),
+            (itlb_hits, itlb_misses),
             (r.itlb_hits, r.itlb_misses),
             "attribution audit: per-core micro-ITLB stats drift"
         );
         assert_eq!(
-            (sum.loads, sum.stores, sum.instructions),
+            (loads, stores, instructions),
             (r.loads, r.stores, r.instructions),
             "attribution audit: per-core access counters drift"
         );

@@ -46,7 +46,7 @@ use std::fmt;
 
 use mtlb_sim::{Machine, MachineOp, OpSink};
 use mtlb_types::varint::{get_ivarint, get_uvarint, put_ivarint, put_uvarint};
-use mtlb_types::{Fault, Prot, VirtAddr, Vpn};
+use mtlb_types::{Fault, Prot, VirtAddr, Vpn, PAGE_SIZE};
 
 /// File magic: "MTR1" (MTLB Trace, format 1).
 pub const MAGIC: [u8; 4] = *b"MTR1";
@@ -600,10 +600,8 @@ pub fn replay_decoded(
     replay(machine, &trace.bytes)
 }
 
-/// Drives a single decoded op through `machine`'s public API — the
-/// per-op step of [`replay`], exposed so schedulers can interleave ops
-/// from several recorded streams across the cores of one machine
-/// (e.g. the fig6 co-scheduling experiment). `op_index` only labels
+/// Drives a single decoded op through `machine`'s public API on the
+/// active core — the per-op step of [`replay`]. `op_index` only labels
 /// the error.
 ///
 /// # Errors
@@ -612,89 +610,153 @@ pub fn replay_decoded(
 /// [`TraceError::OversizedBlock`] for a block op over the format's
 /// length cap.
 pub fn apply_op(machine: &mut Machine, op: &MachineOp, op_index: u64) -> Result<(), TraceError> {
-    let result: Result<(), Fault> = match *op {
-        MachineOp::Execute { n } => machine.try_execute(n),
-        MachineOp::Read { va, size } => match size {
-            1 => machine.try_read_u8(va).map(drop),
-            2 => machine.try_read_u16(va).map(drop),
-            4 => machine.try_read_u32(va).map(drop),
-            _ => machine.try_read_u64(va).map(drop),
-        },
-        MachineOp::Write { va, size } => match size {
-            1 => machine.try_write_u8(va, 0),
-            2 => machine.try_write_u16(va, 0),
-            4 => machine.try_write_u32(va, 0),
-            _ => machine.try_write_u64(va, 0),
-        },
-        MachineOp::ReadBlock { va, len, instr } => {
-            if len > MAX_BLOCK_LEN {
-                return Err(TraceError::OversizedBlock { len });
+    let active = machine.active_core();
+    dispatch(machine, op, active, &[0], op_index).map_err(|(_, e)| e)
+}
+
+/// Drives one decoded op through `machine` once per core, in core
+/// order — the co-scheduling step of the fig6 experiment, where core
+/// `c` runs its own instance of a recorded stream inside a private
+/// virtual window. Core `c` is made active and issues the op with every
+/// virtual address moved up by `deltas[c]` bytes (and every VPN by
+/// `deltas[c] / PAGE_SIZE` pages); `sbrk` and `load_program` need no
+/// relocation, since the kernel places both inside the calling
+/// process's own window. The ops a single-process recording cannot
+/// meaningfully repeat per instance — [`MachineOp::SpawnProcess`],
+/// [`MachineOp::SwitchProcess`] and [`MachineOp::ResetStats`] — are
+/// skipped. `op_index` only labels the error.
+///
+/// # Errors
+///
+/// The first failing core's index with its error, as for [`apply_op`];
+/// the cores before it have already run the op.
+pub fn apply_op_on_cores(
+    machine: &mut Machine,
+    op: &MachineOp,
+    deltas: &[u64],
+    op_index: u64,
+) -> Result<(), (usize, TraceError)> {
+    if matches!(
+        op,
+        MachineOp::SpawnProcess | MachineOp::SwitchProcess { .. } | MachineOp::ResetStats
+    ) {
+        return Ok(());
+    }
+    dispatch(machine, op, 0, deltas, op_index)
+}
+
+/// The one op dispatch behind [`apply_op`] and [`apply_op_on_cores`]:
+/// matches `op` once, then runs it on cores `first_core ..` in turn,
+/// the `k`-th relocated by `deltas[k]`.
+fn dispatch(
+    machine: &mut Machine,
+    op: &MachineOp,
+    first_core: usize,
+    deltas: &[u64],
+    op_index: u64,
+) -> Result<(), (usize, TraceError)> {
+    /// Runs `$body` once per core with `$d` bound to that core's delta,
+    /// stopping at the first fault.
+    macro_rules! each_core {
+        (|$d:ident| $body:expr) => {{
+            for (k, &$d) in deltas.iter().enumerate() {
+                let core = first_core + k;
+                machine.set_active_core(core);
+                let result: Result<(), Fault> = $body;
+                result.map_err(|fault| (core, TraceError::ReplayFault { op_index, fault }))?;
             }
-            let mut buf = vec![0u8; len as usize];
-            machine.try_read_block(va, &mut buf, instr)
-        }
-        MachineOp::WriteBlock { va, len, instr } => {
-            if len > MAX_BLOCK_LEN {
-                return Err(TraceError::OversizedBlock { len });
-            }
-            let data = vec![0u8; len as usize];
-            machine.try_write_block(va, &data, instr)
-        }
-        MachineOp::StreamReadU32 { base, count, instr } => {
-            machine.try_stream_read_u32(base, count, instr, |_, _| {})
-        }
-        MachineOp::StreamWriteU32 { base, count, instr } => {
-            machine.try_stream_write_u32(base, count, instr, |_| 0)
-        }
-        MachineOp::StreamWritePairU32 { a, b, count, instr } => {
-            machine.try_stream_write_u32_pair(a, b, count, instr, |_| (0, 0))
-        }
-        MachineOp::StreamWriteU32F64 { a, b, count, instr } => {
-            machine.try_stream_write_u32_f64(a, b, count, instr, |_| (0, 0.0))
-        }
-        MachineOp::MapRegion { start, len, prot } => {
-            machine.map_region(start, len, prot);
             Ok(())
-        }
-        MachineOp::Remap { start, len } => {
-            let _ = machine.remap(start, len);
-            Ok(())
-        }
-        MachineOp::Sbrk { increment } => {
-            let _ = machine.sbrk(increment);
-            Ok(())
-        }
-        MachineOp::SwapOutSuperpage { vpn } => {
-            let _ = machine.swap_out_superpage(vpn);
-            Ok(())
-        }
-        MachineOp::DemoteSuperpage { vpn } => {
-            machine.demote_superpage(vpn);
-            Ok(())
-        }
-        MachineOp::PageBits { vpn } => {
-            let _ = machine.page_bits(vpn);
-            Ok(())
-        }
-        MachineOp::SpawnProcess => {
-            let _ = machine.spawn_process();
-            Ok(())
-        }
-        MachineOp::SwitchProcess { pid } => machine.try_switch_process(pid as usize),
-        MachineOp::RecolorPage { vpn, color } => {
-            machine.recolor_page(vpn, color);
-            Ok(())
-        }
-        MachineOp::LoadProgram { len, remap_text } => {
-            machine.load_program(len, remap_text);
-            Ok(())
-        }
-        MachineOp::ResetStats => {
-            machine.reset_stats();
+        }};
+    }
+    let check_block = |len: u64| {
+        if len > MAX_BLOCK_LEN {
+            Err((first_core, TraceError::OversizedBlock { len }))
+        } else {
             Ok(())
         }
     };
-    result.map_err(|fault| TraceError::ReplayFault { op_index, fault })
+    match *op {
+        MachineOp::Execute { n } => each_core!(|_d| machine.try_execute(n)),
+        MachineOp::Read { va, size } => each_core!(|d| match size {
+            1 => machine.try_read_u8(va + d).map(drop),
+            2 => machine.try_read_u16(va + d).map(drop),
+            4 => machine.try_read_u32(va + d).map(drop),
+            _ => machine.try_read_u64(va + d).map(drop),
+        }),
+        MachineOp::Write { va, size } => each_core!(|d| match size {
+            1 => machine.try_write_u8(va + d, 0),
+            2 => machine.try_write_u16(va + d, 0),
+            4 => machine.try_write_u32(va + d, 0),
+            _ => machine.try_write_u64(va + d, 0),
+        }),
+        MachineOp::ReadBlock { va, len, instr } => {
+            check_block(len)?;
+            let mut buf = vec![0u8; len as usize];
+            each_core!(|d| machine.try_read_block(va + d, &mut buf, instr))
+        }
+        MachineOp::WriteBlock { va, len, instr } => {
+            check_block(len)?;
+            let data = vec![0u8; len as usize];
+            each_core!(|d| machine.try_write_block(va + d, &data, instr))
+        }
+        MachineOp::StreamReadU32 { base, count, instr } => {
+            each_core!(|d| machine.try_stream_read_u32(base + d, count, instr, |_, _| {}))
+        }
+        MachineOp::StreamWriteU32 { base, count, instr } => {
+            each_core!(|d| machine.try_stream_write_u32(base + d, count, instr, |_| 0))
+        }
+        MachineOp::StreamWritePairU32 { a, b, count, instr } => {
+            each_core!(|d| machine.try_stream_write_u32_pair(a + d, b + d, count, instr, |_| (0, 0)))
+        }
+        MachineOp::StreamWriteU32F64 { a, b, count, instr } => {
+            each_core!(
+                |d| machine.try_stream_write_u32_f64(a + d, b + d, count, instr, |_| (0, 0.0))
+            )
+        }
+        MachineOp::MapRegion { start, len, prot } => each_core!(|d| {
+            machine.map_region(start + d, len, prot);
+            Ok(())
+        }),
+        MachineOp::Remap { start, len } => each_core!(|d| {
+            let _ = machine.remap(start + d, len);
+            Ok(())
+        }),
+        MachineOp::Sbrk { increment } => each_core!(|_d| {
+            let _ = machine.sbrk(increment);
+            Ok(())
+        }),
+        MachineOp::SwapOutSuperpage { vpn } => each_core!(|d| {
+            let _ = machine.swap_out_superpage(vpn.offset(d / PAGE_SIZE));
+            Ok(())
+        }),
+        MachineOp::DemoteSuperpage { vpn } => each_core!(|d| {
+            machine.demote_superpage(vpn.offset(d / PAGE_SIZE));
+            Ok(())
+        }),
+        MachineOp::PageBits { vpn } => each_core!(|d| {
+            let _ = machine.page_bits(vpn.offset(d / PAGE_SIZE));
+            Ok(())
+        }),
+        MachineOp::SpawnProcess => each_core!(|_d| {
+            let _ = machine.spawn_process();
+            Ok(())
+        }),
+        MachineOp::SwitchProcess { pid } => {
+            each_core!(|_d| machine.try_switch_process(pid as usize))
+        }
+        MachineOp::RecolorPage { vpn, color } => each_core!(|d| {
+            machine.recolor_page(vpn.offset(d / PAGE_SIZE), color);
+            Ok(())
+        }),
+        MachineOp::LoadProgram { len, remap_text } => each_core!(|_d| {
+            machine.load_program(len, remap_text);
+            Ok(())
+        }),
+        MachineOp::ResetStats => each_core!(|_d| {
+            machine.reset_stats();
+            Ok(())
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -865,5 +927,56 @@ mod tests {
             replay(&mut m, &bytes),
             Err(TraceError::ReplayFault { op_index: 0, .. })
         ));
+    }
+
+    #[test]
+    fn apply_op_on_cores_relocates_each_copy_and_skips_process_ops() {
+        use mtlb_sim::MachineConfig;
+
+        let mut m = Machine::new(MachineConfig::paper_mtlb(64).with_cores(2));
+        let pid = m.spawn_process();
+        m.set_active_core(1);
+        m.try_switch_process(pid).unwrap();
+        let delta = Machine::process_heap_base(pid).get() - Machine::process_heap_base(0).get();
+        let deltas = [0, delta];
+        let start = VirtAddr::new(0x1000_0000);
+        let ops = [
+            MachineOp::MapRegion {
+                start,
+                len: 64 * 1024,
+                prot: Prot::RW,
+            },
+            MachineOp::Write {
+                va: start + 8,
+                size: 4,
+            },
+            MachineOp::SpawnProcess,
+            MachineOp::ResetStats,
+        ];
+        for (i, op) in ops.iter().enumerate() {
+            apply_op_on_cores(&mut m, op, &deltas, i as u64).unwrap();
+        }
+        // Each core issued its own copy; the process ops were skipped.
+        assert_eq!(m.kernel().stats().processes_spawned, 1);
+        let per_core = m.per_core_stats();
+        assert_eq!((per_core[0].stores, per_core[1].stores), (1, 1));
+        // Core 1's copy was mapped in its own process's window.
+        let read = MachineOp::Read {
+            va: start + delta + 8,
+            size: 4,
+        };
+        m.set_active_core(1);
+        apply_op(&mut m, &read, 7).unwrap();
+        // A fault names the core that took it; the cores before it have
+        // already run the op.
+        let read = MachineOp::Read {
+            va: start + 8,
+            size: 4,
+        };
+        assert!(matches!(
+            apply_op_on_cores(&mut m, &read, &[0, 2 * delta], 8),
+            Err((1, TraceError::ReplayFault { op_index: 8, .. }))
+        ));
+        assert_eq!(m.per_core_stats()[0].loads, 1);
     }
 }
